@@ -53,7 +53,6 @@ class SolverOptions:
     voll_rate: float = 1000.0  # $/MWh penalty on shed energy (OLD)
     eps_pg: float = 1e-3  # total-generation tie-break weight, relative to cost scale
     eps_loss: float = 1e-4  # loss tie-break weight, relative to cost scale
-    mu_init: float = 1e-1
 
 
 @dataclass
@@ -277,12 +276,13 @@ class OpfSolution:
     mismatch: np.ndarray  # per-bus max(|dP|, |dQ|), p.u.
     objective_value: float  # $, per the problem objective
     solver_objective: float  # $, including tie-break scalarization terms
-    iterations: int
+    iterations: int  # every IPM iteration the solve ran
     mu_final: float
     s_base: float
     p_load_mw: np.ndarray = None  # true (sheddable) load per island bus
     q_load_mvar: np.ndarray = None
     p_inj_mw: np.ndarray = None  # fixed injections (PV) per island bus
+    generation_cost: float = 0.0  # $ of generation alone, excluding any shed penalty
 
     @property
     def max_mismatch(self) -> float:
@@ -295,13 +295,6 @@ class OpfSolution:
     @property
     def lambda_q_per_mvar(self) -> np.ndarray:
         return self.lambda_q / self.s_base
-
-    @property
-    def generation_cost(self) -> float:
-        """$ of generation alone, excluding any shed penalty."""
-        return float(self._gen_cost)
-
-    _gen_cost: float = 0.0
 
 
 def _internal_objective_parts(problem: OpfProblem):
@@ -445,19 +438,12 @@ def _warm_start_x(problem: OpfProblem, warm: OpfSolution):
 
 
 def solve(problem: OpfProblem, warm_start: OpfSolution = None) -> OpfSolution:
-    """Solve the AC-OPF; warm starts fall back to a flat start when they fail."""
-    result = _solve_once(problem, warm_start)
-    if warm_start is not None and result.status is not OpfStatus.OPTIMAL:
-        cold = _solve_once(problem, None)
-        if (
-            cold.status is OpfStatus.OPTIMAL
-            or cold.max_mismatch < result.max_mismatch
-        ):
-            return cold
-    return result
+    """Solve the AC-OPF with one interior-point run.
 
-
-def _solve_once(problem: OpfProblem, warm_start) -> OpfSolution:
+    The run starts flat, or from warm_start's primal point and balance
+    multipliers when given. Whatever status it ends with is returned; there
+    is no second attempt, so `iterations` counts every iteration spent.
+    """
     pr = problem
     f_scale = pr.f_scale
     if warm_start is None:
@@ -472,7 +458,6 @@ def _solve_once(problem: OpfProblem, warm_start) -> OpfSolution:
         tol_feas=pr.options.feas_tol,
         tol_comp=pr.options.comp_tol * f_scale,
         max_iter=pr.options.max_iter,
-        mu_init=pr.options.mu_init,
     )
     res = solve_nlp(nlp, opts, lam0=lam0)
 
@@ -501,10 +486,9 @@ def _solve_once(problem: OpfProblem, warm_start) -> OpfSolution:
         mu_shed_min[pr.shed_pos] = zl[pr.sl_s]
         mu_shed_max[pr.shed_pos] = zu[pr.sl_s]
 
-    gen_cost = sum(g.cost(p) for g, p in zip(pr.gens, p_g_mw))
     obj = objective_cost(p_g_mw, pr, sh if pr.ns else None)
 
-    sol = OpfSolution(
+    return OpfSolution(
         status=status,
         bus_ids=pr.island_bus_ids,
         gen_buses=tuple(g.bus for g in pr.gens),
@@ -532,9 +516,8 @@ def _solve_once(problem: OpfProblem, warm_start) -> OpfSolution:
         p_load_mw=pr.p_load * s,
         q_load_mvar=pr.q_load * s,
         p_inj_mw=pr.p_fix * s,
+        generation_cost=float(sum(g.cost(p) for g, p in zip(pr.gens, p_g_mw))),
     )
-    sol._gen_cost = gen_cost
-    return sol
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
+
 from . import __version__
 from .acopf import SolverOptions
 from .config import ConfigError, load_config, solver_options_from
@@ -34,21 +36,17 @@ from .sensitivity import ScoreWeights
 from .study import CaseId, Scenario, run_case, run_four_case_study, uniform_stress
 
 
+_SOLVER_FLAGS = tuple(f.name for f in fields(SolverOptions))
+
+
 def _version_string() -> str:
     defaults = SolverOptions()
-    tols = ", ".join(
-        f"{name}={getattr(defaults, name)}"
-        for name in ("feas_tol", "kkt_tol", "comp_tol", "max_iter", "voll_rate", "eps_pg", "eps_loss")
-    )
+    tols = ", ".join(f"{name}={getattr(defaults, name)}" for name in _SOLVER_FLAGS)
     return f"gridcap {__version__} (defaults: {tols})"
 
 
 def _add_solver_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", help="solver config file (key = value lines)")
-    p.add_argument(
-        "--seed", type=int, default=0,
-        help="reserved for reproducibility records; the core is deterministic",
-    )
     p.add_argument("--feas-tol", type=float, dest="feas_tol")
     p.add_argument("--kkt-tol", type=float, dest="kkt_tol")
     p.add_argument("--comp-tol", type=float, dest="comp_tol")
@@ -60,10 +58,7 @@ def _add_solver_flags(p: argparse.ArgumentParser):
 
 def _solver_options(args) -> SolverOptions:
     config = load_config(args.config) if args.config else {}
-    overrides = {
-        name: getattr(args, name, None)
-        for name in ("feas_tol", "kkt_tol", "comp_tol", "max_iter", "voll_rate", "eps_pg", "eps_loss")
-    }
+    overrides = {name: getattr(args, name, None) for name in _SOLVER_FLAGS}
     return solver_options_from(config, overrides)
 
 

@@ -25,6 +25,15 @@ import numpy as np
 import scipy.linalg
 
 _FROZEN_GAP = 1e-11
+_MU_INIT = 1e-1
+_SIGMA = 0.1  # centering: mu = sigma * complementarity gap / #bounds
+_TAU_MIN = 0.99
+_ARMIJO_ETA = 1e-4
+_MAX_BACKTRACKS = 30
+_MAX_RESTORATIONS = 3
+_RESTORATION_STALL_ITERS = 20  # stall window before declaring infeasible
+_RESTORATION_STALL_VIOL = 1e-4  # p.u. violation threshold for infeasibility
+_BOUND_PUSH = 1e-2
 
 
 @dataclass
@@ -51,15 +60,6 @@ class IpmOptions:
     tol_feas: float = 1e-6
     tol_comp: float = 1e-6
     max_iter: int = 200
-    mu_init: float = 1e-1
-    sigma: float = 0.1  # centering: mu = sigma * complementarity gap / #bounds
-    tau_min: float = 0.99
-    armijo_eta: float = 1e-4
-    max_backtracks: int = 30
-    max_restorations: int = 3
-    restoration_stall_iters: int = 20  # stall window before declaring infeasible
-    restoration_stall_viol: float = 1e-4  # p.u. violation threshold for infeasibility
-    bound_push: float = 1e-2
 
 
 @dataclass
@@ -204,9 +204,8 @@ def _solve_kkt(kkt, rhs, n, m):
 class _Barrier:
     """Interior bookkeeping for one variable box."""
 
-    def __init__(self, funcs: _Funcs, push: float):
+    def __init__(self, funcs: _Funcs):
         self.fn = funcs
-        self.push = push
 
     def interior(self, x):
         """Clip a start point strictly inside the bounds."""
@@ -214,15 +213,15 @@ class _Barrier:
         x = np.asarray(x, dtype=float).copy()
         both = self.fn.has_lb & self.fn.has_ub
         if np.any(both):
-            pad = self.push * (hi[both] - lo[both])
+            pad = _BOUND_PUSH * (hi[both] - lo[both])
             x[both] = np.clip(x[both], lo[both] + pad, hi[both] - pad)
         only_lb = self.fn.has_lb & ~self.fn.has_ub
         if np.any(only_lb):
-            pad = self.push * np.maximum(1.0, np.abs(lo[only_lb]))
+            pad = _BOUND_PUSH * np.maximum(1.0, np.abs(lo[only_lb]))
             x[only_lb] = np.maximum(x[only_lb], lo[only_lb] + pad)
         only_ub = self.fn.has_ub & ~self.fn.has_lb
         if np.any(only_ub):
-            pad = self.push * np.maximum(1.0, np.abs(hi[only_ub]))
+            pad = _BOUND_PUSH * np.maximum(1.0, np.abs(hi[only_ub]))
             x[only_ub] = np.minimum(x[only_ub], hi[only_ub] - pad)
         return x
 
@@ -288,8 +287,8 @@ def _restore(fn: _Funcs, barrier: _Barrier, x, opts: IpmOptions, budget: int):
             stall += 1
         if viol <= target:
             return x, True, False, it
-        if stall >= opts.restoration_stall_iters:
-            return x, False, best > opts.restoration_stall_viol, it
+        if stall >= _RESTORATION_STALL_ITERS:
+            return x, False, best > _RESTORATION_STALL_VIOL, it
 
         jac = fn.jac(x)
         sl, su = barrier.slacks(x)
@@ -308,19 +307,19 @@ def _restore(fn: _Funcs, barrier: _Barrier, x, opts: IpmOptions, budget: int):
             except np.linalg.LinAlgError:
                 damping = max(damping * 10.0, 1e-10)
         if dx is None:
-            return x, False, best > opts.restoration_stall_viol, it
+            return x, False, best > _RESTORATION_STALL_VIOL, it
         nu = damping
 
-        tau = max(opts.tau_min, 1.0 - mu)
+        tau = max(_TAU_MIN, 1.0 - mu)
         alpha = min(1.0, _max_step(x, dx, fn.lower, fn.upper, tau))
         theta0 = 0.5 * float(c @ c) + barrier.value(x, mu)
         slope = float(grad @ dx)
         accepted = False
-        for _ in range(opts.max_backtracks):
+        for _ in range(_MAX_BACKTRACKS):
             xt = x + alpha * dx
             ct = fn.c(xt)
             theta_t = 0.5 * float(ct @ ct) + barrier.value(xt, mu)
-            if theta_t <= theta0 + opts.armijo_eta * alpha * slope:
+            if theta_t <= theta0 + _ARMIJO_ETA * alpha * slope:
                 accepted = True
                 break
             alpha *= 0.5
@@ -328,7 +327,7 @@ def _restore(fn: _Funcs, barrier: _Barrier, x, opts: IpmOptions, budget: int):
             stall += 1
             mu *= 0.1
             if mu < 1e-12:
-                return x, False, best > opts.restoration_stall_viol, it
+                return x, False, best > _RESTORATION_STALL_VIOL, it
             continue
         x = xt
         if float(np.abs(grad).max(initial=0.0)) < 10.0 * mu:
@@ -339,12 +338,12 @@ def _restore(fn: _Funcs, barrier: _Barrier, x, opts: IpmOptions, budget: int):
 def solve_nlp(prob: NlpProblem, opts: IpmOptions = None, lam0: np.ndarray = None) -> IpmResult:
     opts = opts or IpmOptions()
     fn = _Funcs(prob)
-    barrier = _Barrier(fn, opts.bound_push)
+    barrier = _Barrier(fn)
 
     x = barrier.interior(np.asarray(prob.x0, dtype=float)[fn.free])
     m, n = fn.m, fn.n
     lam = np.zeros(m) if lam0 is None else np.asarray(lam0, dtype=float).copy()
-    mu = opts.mu_init
+    mu = _MU_INIT
     sl, su = barrier.slacks(x)
     zl = np.where(fn.has_lb, mu / sl, 0.0)
     zu = np.where(fn.has_ub, mu / su, 0.0)
@@ -372,9 +371,9 @@ def solve_nlp(prob: NlpProblem, opts: IpmOptions = None, lam0: np.ndarray = None
 
     while it < opts.max_iter:
         if need_restore:
-            if restorations >= opts.max_restorations:
+            if restorations >= _MAX_RESTORATIONS:
                 viol = float(np.abs(fn.c(x)).max(initial=0.0)) if m else 0.0
-                status = "infeasible" if viol > opts.restoration_stall_viol else "max_iter"
+                status = "infeasible" if viol > _RESTORATION_STALL_VIOL else "max_iter"
                 return finish(status, "restoration budget exhausted")
             restorations += 1
             viol = float(np.abs(fn.c(x)).max(initial=0.0)) if m else 0.0
@@ -420,7 +419,7 @@ def solve_nlp(prob: NlpProblem, opts: IpmOptions = None, lam0: np.ndarray = None
         if np.any(fn.has_ub):
             gap += float((zu[fn.has_ub] * su[fn.has_ub]).sum())
             n_bounds += int(fn.has_ub.sum())
-        mu = opts.sigma * gap / n_bounds if n_bounds else 0.0
+        mu = _SIGMA * gap / n_bounds if n_bounds else 0.0
         mu = max(mu, 1e-14) if n_bounds else 0.0
 
         it += 1
@@ -468,7 +467,7 @@ def solve_nlp(prob: NlpProblem, opts: IpmOptions = None, lam0: np.ndarray = None
         dzl = np.where(fn.has_lb, (mu - zl * dx) / sl - zl, 0.0)
         dzu = np.where(fn.has_ub, (mu + zu * dx) / su - zu, 0.0)
 
-        tau = min(max(opts.tau_min, 1.0 - mu), 0.99995)
+        tau = min(max(_TAU_MIN, 1.0 - mu), 0.99995)
         alpha_max = _max_step(x, dx, fn.lower, fn.upper, tau)
         alpha_z = 1.0
         if np.any(fn.has_lb):
@@ -510,10 +509,10 @@ def solve_nlp(prob: NlpProblem, opts: IpmOptions = None, lam0: np.ndarray = None
             noise = 100.0 * np.finfo(float).eps * max(1.0, abs(phi0))
             alpha = alpha_max
             accepted = False
-            for _ in range(opts.max_backtracks):
+            for _ in range(_MAX_BACKTRACKS):
                 xt = x + alpha * dx
                 phit = fn.f(xt) + barrier.value(xt, mu) + rho * float(np.abs(fn.c(xt)).sum())
-                if phit <= phi0 + opts.armijo_eta * alpha * min(slope, 0.0) + noise:
+                if phit <= phi0 + _ARMIJO_ETA * alpha * min(slope, 0.0) + noise:
                     accepted = True
                     break
                 alpha *= 0.5

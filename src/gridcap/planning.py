@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .model import ValidationError
-from .study import CaseId
+from .study import CaseId, CaseResult
 
 # ties within this margin resolve to "do not install"
 _TIE_TOL = 1e-9

@@ -222,16 +222,16 @@ def fd_oracle(problem: OpfProblem, bus_id: int, quantity: FdQuantity, eps: float
         raise ValidationError("fd eps must be positive")
     if bus_id not in problem.island_bus_ids:
         raise ValidationError(f"bus {bus_id} is not on the energized island")
-    up = solve(_perturbed(problem, bus_id, quantity, +eps))
-    dn = solve(_perturbed(problem, bus_id, quantity, -eps))
+    p_up = _perturbed(problem, bus_id, quantity, +eps)
+    p_dn = _perturbed(problem, bus_id, quantity, -eps)
+    up = solve(p_up)
+    dn = solve(p_dn)
     if up.status is not OpfStatus.OPTIMAL or dn.status is not OpfStatus.OPTIMAL:
         return FdResult(
             value=float("nan"),
             available=False,
             reason=f"perturbed solve status {up.status.value}/{dn.status.value}",
         )
-    p_up = _perturbed(problem, bus_id, quantity, +eps)
-    p_dn = _perturbed(problem, bus_id, quantity, -eps)
     sig_up = _binding_signature(p_up, up)
     sig_dn = _binding_signature(p_dn, dn)
     if sig_up.shape != sig_dn.shape or np.any(sig_up != sig_dn):

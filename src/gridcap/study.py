@@ -5,8 +5,9 @@ it with stressed power factors (exposing reactive-support scarcity);
 Case 3 answers the stress with optimal load delivery (corrective
 shedding); Case 4 answers it with shunt capacitors at the top-ranked buses
 and reruns the economic objective. Hours are solved in sequence, each
-warm-started from the previous solved hour; hours flagged invalid in the
-demand series are skipped and reported separately.
+warm-started from the previous optimal hour with one solve and no cold
+fallback; hours flagged invalid in the demand series are skipped and
+reported separately.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .sensitivity import (
     RawSensitivity,
     ScoreWeights,
     aggregate_hours,
-    composite_score,
     cross_case_rank_table,
     extract,
 )
@@ -150,14 +150,10 @@ def _hour_injections(net: Network, hour: int, pf_overrides) -> tuple:
     return p, q
 
 
-def run_case(
-    scenario: Scenario,
-    network: Network,
-    demand: DemandSeries,
-    warm_start: bool = True,
-) -> CaseResult:
-    """Solve one case hour by hour and aggregate. Hours chain warm starts
-    from the previous optimal hour unless warm_start is disabled."""
+def run_case(scenario: Scenario, network: Network, demand: DemandSeries) -> CaseResult:
+    """Solve one case hour by hour and aggregate. Each valid hour is one
+    solve, warm-started from the previous optimal hour (flat before the
+    first); a non-optimal hour is reported as it ended."""
     net = network.with_shunts(scenario.capacitors) if scenario.capacitors else network
     horizon = demand.horizon
     for pv in net.pv_units:
@@ -197,7 +193,7 @@ def run_case(
         sol = solve(problem, warm_start=warm)
         outcomes.append(HourOutcome(hour=t, valid=True, solution=sol))
         sens.append(extract(sol))
-        if warm_start and sol.status is OpfStatus.OPTIMAL:
+        if sol.status is OpfStatus.OPTIMAL:
             warm = sol
 
     return _aggregate_case(scenario, net, demand, outcomes, sens)
@@ -276,29 +272,15 @@ class StudyResult:
 
 def placement_ranking(case_results, weights: ScoreWeights) -> list:
     """Average the hour-aggregated scores of several cases and re-rank."""
-    acc_q: dict = {}
-    acc_v: dict = {}
-    used = 0
-    for cr in case_results:
-        if not cr.ranking.records:
-            continue
-        used += 1
-        for rec in cr.ranking.records:
-            acc_q.setdefault(rec.bus_id, []).append(rec.os_q)
-            acc_v.setdefault(rec.bus_id, []).append(rec.os_v)
-    if used == 0:
-        return []
-    flat = [
-        RawSensitivity(
-            bus_id=b,
-            os_q=float(np.mean(acc_q[b])),
-            os_v=float(np.mean(acc_v[b])),
-            status=OpfStatus.OPTIMAL,
-            reliable=True,
-        )
-        for b in sorted(acc_q)
-    ]
-    return composite_score(flat, weights)
+    per_case = (
+        [
+            RawSensitivity(bus_id=r.bus_id, os_q=r.os_q, os_v=r.os_v,
+                           status=OpfStatus.OPTIMAL, reliable=True)
+            for r in cr.ranking.records
+        ]
+        for cr in case_results
+    )
+    return list(aggregate_hours(per_case, weights, mode="mean").records)
 
 
 def run_four_case_study(

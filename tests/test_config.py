@@ -1,7 +1,7 @@
 import pytest
 
 from gridcap.acopf import SolverOptions
-from gridcap.config import ConfigError, parse_config, solver_options_from
+from gridcap.config import ConfigError, load_config, parse_config, solver_options_from
 
 
 def test_parse_key_value_lines():
@@ -49,3 +49,21 @@ def test_unknown_override_rejected():
 def test_unknown_config_keys_ignored():
     opts = solver_options_from({"not_a_knob": 5.0})
     assert opts == SolverOptions()
+
+
+def test_unknown_config_key_warns_with_file_and_line(tmp_path, capsys):
+    cfg = tmp_path / "solver.conf"
+    cfg.write_text("feas_tol = 1e-7\nkkt_toll = 1e-3\nmu_init = 0.2\n")
+    opts = solver_options_from(load_config(cfg))
+    err = capsys.readouterr().err
+    assert f"{cfg}, line 2: unknown config key 'kkt_toll'" in err
+    assert f"{cfg}, line 3: unknown config key 'mu_init'" in err
+    assert "feas_tol" not in err
+    assert opts == SolverOptions(feas_tol=1e-7)
+
+
+def test_malformed_line_names_file(tmp_path):
+    cfg = tmp_path / "solver.conf"
+    cfg.write_text("max_iter = 50\nfeas_tol 1e-7\n")
+    with pytest.raises(ConfigError, match=f"{cfg}, line 2"):
+        load_config(cfg)

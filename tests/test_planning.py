@@ -1,4 +1,5 @@
 import itertools
+import typing
 
 import numpy as np
 import pytest
@@ -14,6 +15,11 @@ from gridcap.planning import (
 from gridcap.sensitivity import HourlyAggregate
 from gridcap.study import CaseId, CaseResult, HourOutcome
 from gridcap.acopf import OpfSolution, OpfStatus
+
+
+def test_voll_cost_annotations_resolve():
+    hints = typing.get_type_hints(voll_cost)
+    assert hints["case3"] is CaseResult
 
 
 def fake_old_result(bus_ids, shed_mw_rows, dt=1.0):

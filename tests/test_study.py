@@ -1,5 +1,6 @@
 import pytest
 
+from gridcap import acopf, study
 from gridcap.model import PfSign, ShuntCapacitor, ValidationError
 from gridcap.netfile import parse_demand
 from gridcap.study import (
@@ -81,16 +82,50 @@ class TestRunCase:
         assert identity.load_served == pytest.approx(nominal.load_served, abs=1e-9)
         assert identity.avg_mismatch == pytest.approx(nominal.avg_mismatch, abs=1e-9)
 
-    def test_warm_start_equivalence(self, microgrid9):
+    def test_warm_start_equivalence(self, microgrid9, monkeypatch):
         net, demand = microgrid9
-        warm = run_case(Scenario(CaseId.ECONOMIC), net, demand)
-        cold = run_case(Scenario(CaseId.ECONOMIC), net, demand, warm_start=False)
-        for a, b in zip(warm.hours, cold.hours):
-            if not a.valid:
-                continue
-            assert a.solution.objective_value == pytest.approx(
-                b.solution.objective_value, rel=1e-6
+        problems = []
+
+        def recording_solve(problem, warm_start=None):
+            problems.append(problem)
+            return acopf.solve(problem, warm_start=warm_start)
+
+        monkeypatch.setattr(study, "solve", recording_solve)
+        chained = run_case(Scenario(CaseId.ECONOMIC), net, demand)
+        valid = [o for o in chained.hours if o.valid]
+        assert len(problems) == len(valid) == len(demand.valid_hours)
+        for outcome, problem in zip(valid, problems):
+            cold = acopf.solve(problem)
+            assert outcome.solution.status is cold.status
+            assert outcome.solution.objective_value == pytest.approx(
+                cold.objective_value, rel=1e-6
             )
+
+    def test_one_nlp_solve_per_valid_hour(self, microgrid9, monkeypatch):
+        net, demand = microgrid9
+        real_solve_nlp = acopf.solve_nlp
+        results = []
+
+        def counting_solve_nlp(*args, **kwargs):
+            res = real_solve_nlp(*args, **kwargs)
+            results.append(res)
+            return res
+
+        monkeypatch.setattr(acopf, "solve_nlp", counting_solve_nlp)
+        case2 = run_case(
+            Scenario(
+                CaseId.VOLTAGE_STRESS,
+                pf_overrides=uniform_stress(net, 0.85, PfSign.LAGGING),
+            ),
+            net,
+            demand,
+        )
+        valid = [o for o in case2.hours if o.valid]
+        assert case2.non_optimal_hours > 0  # the stressed case exercises failed hours
+        assert len(results) == len(valid) == 47
+        assert sum(o.solution.iterations for o in valid) == sum(
+            r.iterations for r in results
+        )
 
     def test_profile_shorter_than_horizon_rejected(self, microgrid9, two_bus):
         net9, _ = microgrid9
