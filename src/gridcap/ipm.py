@@ -14,7 +14,9 @@ mu = sigma * (average complementarity gap), so mu tracks the actual
 progress toward the boundary instead of following a fixed outer schedule.
 Inertia of the KKT matrix is corrected by a growing primal regularization
 so that Newton directions are descent directions even where the Lagrangian
-Hessian is indefinite.
+Hessian is indefinite. Each inertia trial is one Bunch-Kaufman LDL^T
+factorization: the inertia is read off its block-diagonal D and, when it is
+right, the Newton step is taken from the same factors.
 """
 
 from __future__ import annotations
@@ -128,33 +130,24 @@ class _Funcs:
         return h[np.ix_(self.free, self.free)]
 
 
-def _inertia(d: np.ndarray):
-    """(positive, negative, zero) eigenvalue counts of an LDL^T block-diagonal D."""
-    n = d.shape[0]
-    tol = 10.0 * np.finfo(float).eps * max(1.0, float(np.abs(d).max(initial=0.0)))
-    pos = neg = zero = 0
-    i = 0
-    while i < n:
-        if i + 1 < n and (d[i, i + 1] != 0.0 or d[i + 1, i] != 0.0):
-            evs = np.linalg.eigvalsh(d[i : i + 2, i : i + 2])
-            for e in evs:
-                if e > tol:
-                    pos += 1
-                elif e < -tol:
-                    neg += 1
-                else:
-                    zero += 1
-            i += 2
-        else:
-            e = d[i, i]
-            if e > tol:
-                pos += 1
-            elif e < -tol:
-                neg += 1
-            else:
-                zero += 1
-            i += 1
-    return pos, neg, zero
+def _inertia(ldu: np.ndarray, ipiv: np.ndarray):
+    """(positive, negative, zero) eigenvalue counts of D in a lower dsytrf
+    factorization. A 2x2 pivot is two consecutive rows with negative ipiv (runs
+    of such rows pair up from their start); its eigenvalues are closed-form."""
+    diag = ldu.diagonal()
+    in_pair = ipiv < 0
+    idx = np.arange(diag.size)
+    run_start = np.maximum.accumulate(np.where(in_pair & ~np.r_[False, in_pair[:-1]], idx, 0))
+    first = np.flatnonzero(in_pair & ((idx - run_start) % 2 == 0))
+    p, q, b = diag[first], diag[first + 1], ldu[first + 1, first]
+    mid = 0.5 * (p + q)
+    rad = np.hypot(0.5 * (p - q), b)
+    evs = np.concatenate([diag[~in_pair], mid + rad, mid - rad])
+    d_max = max(1.0, float(np.abs(diag).max(initial=0.0)), float(np.abs(b).max(initial=0.0)))
+    tol = 10.0 * np.finfo(float).eps * d_max
+    pos = int(np.count_nonzero(evs > tol))
+    neg = int(np.count_nonzero(evs < -tol))
+    return pos, neg, diag.size - pos - neg
 
 
 def _max_step(x, dx, lo, hi, tau):
@@ -180,25 +173,31 @@ def _max_step_pos(z, dz, tau):
 
 
 def _solve_kkt(kkt, rhs, n, m):
-    """Solve the KKT system after checking inertia, with symmetric
-    equilibration (a congruence, so inertia is preserved) to keep the
-    zero-eigenvalue test meaningful when barrier terms dominate.
+    """Check the inertia of the KKT system and solve it, both from one
+    Bunch-Kaufman LDL^T factorization (dsytrf, then dsytrs) of the matrix under
+    symmetric equilibration (a congruence, so inertia is preserved), which keeps
+    the zero-eigenvalue test meaningful when barrier terms dominate.
 
-    Raises LinAlgError with 'inertia' or 'zero' in the message when the
-    factorization says the direction would not be a descent direction.
+    Raises ValueError on a non-finite entry, and LinAlgError with 'inertia' or
+    'zero' in the message when the direction would not be a descent direction.
     """
     norms = np.abs(kkt).max(axis=1)
     d = 1.0 / np.sqrt(np.maximum(norms, 1e-12))
     scaled = kkt * d[:, None] * d[None, :]
-    _, diag, _ = scipy.linalg.ldl(scaled)
-    pos, neg, zero = _inertia(diag)
+    if not np.isfinite(scaled).all():
+        raise ValueError("array must not contain infs or NaNs")
+    lapack = scipy.linalg.lapack
+    lwork = int(lapack.dsytrf_lwork(scaled.shape[0], lower=1)[0])  # full size: blocked code
+    ldu, ipiv, _ = lapack.dsytrf(scaled, lower=1, lwork=lwork)
+    pos, neg, zero = _inertia(ldu, ipiv)
     if zero > 0:
         raise np.linalg.LinAlgError(f"kkt matrix has {zero} zero eigenvalues")
     if pos != n or neg != m:
         raise np.linalg.LinAlgError(
             f"wrong inertia ({pos},{neg},{zero}), expected ({n},{m},0)"
         )
-    return d * np.linalg.solve(scaled, d * rhs)
+    step, _ = lapack.dsytrs(ldu, ipiv, d * rhs, lower=1)
+    return d * step
 
 
 class _Barrier:
@@ -249,14 +248,14 @@ class _Barrier:
         return g
 
 
-def _kkt_errors(fn: _Funcs, x, lam, zl, zu, mu):
+def _kkt_errors(fn: _Funcs, x, lam, zl, zu, mu, evals=None):
+    """evals: (gradient, Jacobian, constraints) at x, when already computed."""
     sl = np.where(fn.has_lb, x - fn.lower, np.inf)
     su = np.where(fn.has_ub, fn.upper - x, np.inf)
-    g = fn.grad(x)
-    jac = fn.jac(x)
+    g, jac, c = evals or (fn.grad(x), fn.jac(x), fn.c(x))
     r_dual = g + (jac.T @ lam if fn.m else 0.0) - zl + zu
     stat = float(np.abs(r_dual).max(initial=0.0))
-    feas = float(np.abs(fn.c(x)).max(initial=0.0)) if fn.m else 0.0
+    feas = float(np.abs(c).max(initial=0.0)) if fn.m else 0.0
     comp = 0.0
     if np.any(fn.has_lb):
         comp = max(comp, float(np.abs(zl[fn.has_lb] * sl[fn.has_lb] - mu).max()))
@@ -388,7 +387,7 @@ def solve_nlp(prob: NlpProblem, opts: IpmOptions = None, lam0: np.ndarray = None
                 need_restore = False
                 continue
             x, feasible, hopeless, used = _restore(
-                fn, barrier, x, opts, budget=max(opts.max_iter - it, 30)
+                fn, barrier, x, opts, budget=opts.max_iter - it
             )
             it += used
             x = barrier.interior(x)
@@ -404,7 +403,8 @@ def solve_nlp(prob: NlpProblem, opts: IpmOptions = None, lam0: np.ndarray = None
             need_restore = False
             continue
 
-        stat, feas, comp0 = _kkt_errors(fn, x, lam, zl, zu, 0.0)
+        evals = fn.grad(x), fn.jac(x), fn.c(x)
+        stat, feas, comp0 = _kkt_errors(fn, x, lam, zl, zu, 0.0, evals)
         if stat <= opts.tol_stat and feas <= opts.tol_feas and comp0 <= opts.tol_comp:
             return finish("optimal")
 
@@ -428,9 +428,7 @@ def solve_nlp(prob: NlpProblem, opts: IpmOptions = None, lam0: np.ndarray = None
         sig = np.zeros(n)
         sig[fn.has_lb] += (zl / sl)[fn.has_lb]
         sig[fn.has_ub] += (zu / su)[fn.has_ub]
-        grad = fn.grad(x)
-        jac = fn.jac(x)
-        c = fn.c(x)
+        grad, jac, c = evals
         w = fn.hess(x, lam, 1.0)
 
         r_x = grad + (jac.T @ lam if m else 0.0)
@@ -479,7 +477,7 @@ def solve_nlp(prob: NlpProblem, opts: IpmOptions = None, lam0: np.ndarray = None
         # residual. A primal merit cannot see dual progress, so Newton steps
         # that mostly re-center the multipliers are accepted on the residual
         # itself (this is also what quadratic local convergence requires).
-        stat_mu, feas_mu, comp_cur = _kkt_errors(fn, x, lam, zl, zu, mu)
+        stat_mu, feas_mu, comp_cur = _kkt_errors(fn, x, lam, zl, zu, mu, evals)
         err_before = max(stat_mu, feas_mu, comp_cur)
         xt = x + alpha_max * dx
         lam_t = lam + alpha_max * dlam if m else lam

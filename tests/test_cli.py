@@ -89,6 +89,17 @@ class TestSolve:
         assert code == 2  # iteration-starved hours are not optimal
         assert any(r["status"] == "max_iterations" for r in rows(out / "solve_hourly.csv"))
 
+    def test_restoration_stays_within_max_iter(self, tmp_path):
+        # stressed hours need restoration; it must not run past the cap
+        cfg = tmp_path / "solver.conf"
+        cfg.write_text("max_iter = 15\n")
+        out = tmp_path / "capped"
+        main(["solve", "--network", NET9, "--demand", DEM9, "--stress-pf", "0.85",
+              "--config", str(cfg), "--out", str(out)])
+        hourly = [r for r in rows(out / "solve_hourly.csv") if r["status"] != "invalid"]
+        assert any(r["status"] == "max_iterations" for r in hourly)
+        assert max(int(r["iterations"]) for r in hourly) <= 15
+
 
 class TestStudy:
     def test_cross_case_has_four_rows(self, study_dir):

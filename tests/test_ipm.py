@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from gridcap.ipm import IpmOptions, NlpProblem, solve_nlp
+from gridcap.ipm import IpmOptions, NlpProblem, _inertia, _solve_kkt, solve_nlp
 
 
 def bound_qp():
@@ -119,3 +120,82 @@ def test_multiplier_nonnegativity_and_complementarity():
     r = solve_nlp(bound_qp())
     assert r.z_lower.min() >= 0.0 and r.z_upper.min() >= 0.0
     assert r.comp_err <= 1e-6
+
+
+def sign_counts(a):
+    evs = np.linalg.eigvalsh(a)
+    tol = 1e-9 * max(1.0, float(np.abs(evs).max()))
+    return int((evs > tol).sum()), int((evs < -tol).sum()), int((np.abs(evs) <= tol).sum())
+
+
+def symmetric_cases():
+    rng = np.random.default_rng(3)
+    for size in (1, 2, 5, 12, 31):
+        a = rng.standard_normal((size, size))
+        yield a + a.T
+    for size in (4, 8, 16):
+        # zero diagonal with [[0,1],[1,0]] blocks: only 2x2 pivots are possible
+        a = np.kron(np.eye(size // 2), [[0.0, 1.0], [1.0, 0.0]])
+        perm = rng.permutation(size)
+        yield a[np.ix_(perm, perm)]
+        b = rng.standard_normal((size, size))
+        b = b + b.T
+        np.fill_diagonal(b, 0.0)
+        yield b
+    for size, dead in ((6, [2]), (10, [0, 7]), (13, [4, 5, 12])):
+        # exactly singular: rows and columns of zeros
+        a = rng.standard_normal((size, size))
+        a = a + a.T
+        a[dead, :] = 0.0
+        a[:, dead] = 0.0
+        yield a
+
+
+@pytest.mark.parametrize("a", list(symmetric_cases()))
+def test_inertia_matches_eigenvalue_signs(a):
+    ldu, ipiv, _ = scipy.linalg.lapack.dsytrf(a, lower=1)
+    assert _inertia(ldu, ipiv) == sign_counts(a)
+
+
+def test_inertia_cases_exercise_two_by_two_pivots():
+    pivots = [scipy.linalg.lapack.dsytrf(a, lower=1)[1] for a in symmetric_cases()]
+    assert any((p < 0).any() for p in pivots) and any((p > 0).all() for p in pivots)
+
+
+def quasi_definite_kkt(n=7, m=3):
+    rng = np.random.default_rng(11)
+    h = rng.standard_normal((n, n))
+    jac = rng.standard_normal((m, n))
+    kkt = np.zeros((n + m, n + m))
+    kkt[:n, :n] = h @ h.T + np.diag(rng.uniform(1e-3, 1e3, n))
+    kkt[:n, n:] = jac.T
+    kkt[n:, :n] = jac
+    return kkt, rng.standard_normal(n + m), n, m
+
+
+def test_solve_kkt_matches_dense_solve():
+    kkt, rhs, n, m = quasi_definite_kkt()
+    step = _solve_kkt(kkt, rhs, n, m)
+    expected = np.linalg.solve(kkt, rhs)
+    assert np.abs(step - expected).max() <= 1e-10 * np.abs(expected).max()
+
+
+def test_solve_kkt_rejects_wrong_inertia():
+    kkt, rhs, n, m = quasi_definite_kkt()
+    with pytest.raises(np.linalg.LinAlgError, match="inertia"):
+        _solve_kkt(kkt, rhs, n + 1, m - 1)
+
+
+def test_solve_kkt_rejects_singular_matrix():
+    kkt, rhs, n, m = quasi_definite_kkt()
+    kkt[n, :] = 0.0
+    kkt[:, n] = 0.0  # a constraint with an all-zero Jacobian row
+    with pytest.raises(np.linalg.LinAlgError, match="zero"):
+        _solve_kkt(kkt, rhs, n, m)
+
+
+def test_solve_kkt_rejects_non_finite_entry():
+    kkt, rhs, n, m = quasi_definite_kkt()
+    kkt[1, 2] = np.nan
+    with pytest.raises(ValueError):
+        _solve_kkt(kkt, rhs, n, m)
