@@ -24,14 +24,11 @@ from .model import (
     Generator,
     GridcapError,
     Network,
-    PerUnitArrays,
     PfSign,
     PvUnit,
     ShuntCapacitor,
     ValidationError,
-    from_per_unit,
     pv_injection,
-    to_per_unit,
 )
 from .netfile import (
     NetworkFileError,

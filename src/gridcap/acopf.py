@@ -341,7 +341,7 @@ def _internal_objective_parts(problem: OpfProblem):
 def _assemble_nlp(problem: OpfProblem, x0, f_scale):
     """Build IPM callbacks for one problem, scaled by f_scale."""
     pr = problem
-    n, ng, ns = pr.n, pr.ng, pr.ns
+    n, ns = pr.n, pr.ns
     value, grad_fn, hess_pg_diag = _internal_objective_parts(pr)
     eps2s = pr.options.eps_loss * pr.cost_scale * pr.network.s_base
     ones = np.ones(n)
@@ -361,20 +361,22 @@ def _assemble_nlp(problem: OpfProblem, x0, f_scale):
         cq = np.bincount(pr.gen_pos, weights=qg, minlength=n) - q_eff - q_net
         return np.concatenate([cp, cq])
 
+    # generator and shed columns do not depend on x
+    pg_idx, qg_idx, s_idx = (np.arange(sl.start, sl.stop) for sl in (pr.sl_pg, pr.sl_qg, pr.sl_s))
+    jac_fixed = np.zeros((2 * n, pr.nx))
+    jac_fixed[pr.gen_pos, pg_idx] = 1.0
+    jac_fixed[n + pr.gen_pos, qg_idx] = 1.0
+    jac_fixed[pr.shed_pos, s_idx] = pr.p_load[pr.shed_pos]
+    jac_fixed[n + pr.shed_pos, s_idx] = pr.q_load[pr.shed_pos]
+
     def jacobian(x):
         theta, v, pg, qg, sh = pr._split(x)
         dp_dth, dp_dv, dq_dth, dq_dv = pr.inj_model.jacobian(v, theta)
-        jac = np.zeros((2 * n, pr.nx))
+        jac = jac_fixed.copy()
         jac[:n, pr.sl_th] = -dp_dth[:, pr.nonslack]
         jac[:n, pr.sl_v] = -dp_dv
         jac[n:, pr.sl_th] = -dq_dth[:, pr.nonslack]
         jac[n:, pr.sl_v] = -dq_dv
-        for k in range(ng):
-            jac[pr.gen_pos[k], pr.sl_pg.start + k] = 1.0
-            jac[n + pr.gen_pos[k], pr.sl_qg.start + k] = 1.0
-        for j, bus in enumerate(pr.shed_pos):
-            jac[bus, pr.sl_s.start + j] = pr.p_load[bus]
-            jac[n + bus, pr.sl_s.start + j] = pr.q_load[bus]
         return jac
 
     def objective(x):
@@ -382,6 +384,9 @@ def _assemble_nlp(problem: OpfProblem, x0, f_scale):
 
     def gradient(x):
         return f_scale * grad_fn(x)
+
+    ns_idx = pr.nonslack
+    th_block = np.ix_(ns_idx, ns_idx)
 
     def hess_lag(x, lam, sigma):
         theta, v, pg, qg, sh = pr._split(x)
@@ -391,12 +396,10 @@ def _assemble_nlp(problem: OpfProblem, x0, f_scale):
         nu_w = -lam_q
         h_thth, h_vth, h_vv = pr.inj_model.hessian_weighted(v, theta, mu_w, nu_w)
         h = np.zeros((pr.nx, pr.nx))
-        ns_idx = pr.nonslack
-        h[pr.sl_th, pr.sl_th] = h_thth[np.ix_(ns_idx, ns_idx)]
+        h[pr.sl_th, pr.sl_th] = h_thth[th_block]
         h[pr.sl_v, pr.sl_v] = h_vv
         h[pr.sl_v, pr.sl_th] = h_vth[:, ns_idx]
         h[pr.sl_th, pr.sl_v] = h_vth[:, ns_idx].T
-        pg_idx = np.arange(pr.sl_pg.start, pr.sl_pg.stop)
         h[pg_idx, pg_idx] = sigma * f_scale * hess_pg_diag
         return h
 

@@ -17,11 +17,18 @@ so that Newton directions are descent directions even where the Lagrangian
 Hessian is indefinite. Each inertia trial is one Bunch-Kaufman LDL^T
 factorization: the inertia is read off its block-diagonal D and, when it is
 right, the Newton step is taken from the same factors.
+
+Each point is evaluated once. A `_Point` computes f, grad, the Jacobian and
+c on first use and keeps them, and an accepted trial point becomes the
+current point with the values its acceptance test computed, so the next
+convergence check and line search reuse them. The KKT matrix is built once
+per iteration; the inertia trials rewrite only its two diagonals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -101,6 +108,11 @@ class _Funcs:
         self.m = prob.n_eq
         self.has_lb = np.isfinite(self.lower)
         self.has_ub = np.isfinite(self.upper)
+        # indices of the finite bounds and their values
+        self.lb = np.flatnonzero(self.has_lb)
+        self.ub = np.flatnonzero(self.has_ub)
+        self.lo_b = self.lower[self.lb]
+        self.hi_b = self.upper[self.ub]
 
     def expand(self, x):
         full = self.x_frozen.copy()
@@ -129,6 +141,50 @@ class _Funcs:
         h = np.asarray(self.prob.hess_lag(self.expand(x), lam, sigma), dtype=float)
         return h[np.ix_(self.free, self.free)]
 
+    def slacks(self, x):
+        """(x - l, u - x) on the finite lower and upper bounds."""
+        return x[self.lb] - self.lo_b, self.hi_b - x[self.ub]
+
+    def spread(self, on_lb, on_ub):
+        """Full-length (lower, upper) vectors from values on the finite bounds,
+        zero elsewhere."""
+        zl, zu = np.zeros(self.n), np.zeros(self.n)
+        zl[self.lb] = on_lb
+        zu[self.ub] = on_ub
+        return zl, zu
+
+
+class _Point:
+    """One primal point; each callback value is computed on first use and kept."""
+
+    def __init__(self, fn: _Funcs, x):
+        self.fn = fn
+        self.x = x
+
+    @cached_property
+    def f(self):
+        return self.fn.f(self.x)
+
+    @cached_property
+    def g(self):
+        return self.fn.grad(self.x)
+
+    @cached_property
+    def J(self):
+        return self.fn.jac(self.x)
+
+    @cached_property
+    def c(self):
+        return self.fn.c(self.x)
+
+    @cached_property
+    def viol(self):
+        return float(np.abs(self.c).max(initial=0.0)) if self.fn.m else 0.0
+
+    @cached_property
+    def slacks(self):
+        return self.fn.slacks(self.x)
+
 
 def _inertia(ldu: np.ndarray, ipiv: np.ndarray):
     """(positive, negative, zero) eigenvalue counts of D in a lower dsytrf
@@ -150,17 +206,15 @@ def _inertia(ldu: np.ndarray, ipiv: np.ndarray):
     return pos, neg, diag.size - pos - neg
 
 
-def _max_step(x, dx, lo, hi, tau):
-    """Largest alpha in (0, 1] keeping x + alpha*dx a fraction tau inside [lo, hi]."""
+def _max_step(fn: _Funcs, x, dx, tau):
+    """Largest alpha in (0, 1] keeping x + alpha*dx a fraction tau inside the box."""
     alpha = 1.0
-    shrink = dx < 0.0
-    if np.any(shrink & np.isfinite(lo)):
-        sel = shrink & np.isfinite(lo)
-        alpha = min(alpha, float(np.min(-tau * (x[sel] - lo[sel]) / dx[sel])))
-    grow = dx > 0.0
-    if np.any(grow & np.isfinite(hi)):
-        sel = grow & np.isfinite(hi)
-        alpha = min(alpha, float(np.min(tau * (hi[sel] - x[sel]) / dx[sel])))
+    lb = fn.lb[dx[fn.lb] < 0.0]
+    if lb.size:
+        alpha = min(alpha, float(np.min(-tau * (x[lb] - fn.lower[lb]) / dx[lb])))
+    ub = fn.ub[dx[fn.ub] > 0.0]
+    if ub.size:
+        alpha = min(alpha, float(np.min(tau * (fn.upper[ub] - x[ub]) / dx[ub])))
     return max(alpha, 0.0)
 
 
@@ -176,7 +230,8 @@ def _solve_kkt(kkt, rhs, n, m):
     """Check the inertia of the KKT system and solve it, both from one
     Bunch-Kaufman LDL^T factorization (dsytrf, then dsytrs) of the matrix under
     symmetric equilibration (a congruence, so inertia is preserved), which keeps
-    the zero-eigenvalue test meaningful when barrier terms dominate.
+    the zero-eigenvalue test meaningful when barrier terms dominate. kkt itself
+    is never written to.
 
     Raises ValueError on a non-finite entry, and LinAlgError with 'inertia' or
     'zero' in the message when the direction would not be a descent direction.
@@ -224,61 +279,52 @@ class _Barrier:
             x[only_ub] = np.minimum(x[only_ub], hi[only_ub] - pad)
         return x
 
-    def slacks(self, x):
-        sl = np.where(self.fn.has_lb, x - self.fn.lower, np.inf)
-        su = np.where(self.fn.has_ub, self.fn.upper - x, np.inf)
-        return sl, su
-
     def value(self, x, mu):
-        sl, su = self.slacks(x)
-        if np.any(sl[self.fn.has_lb] <= 0.0) or np.any(su[self.fn.has_ub] <= 0.0):
+        sl, su = self.fn.slacks(x)
+        if np.any(sl <= 0.0) or np.any(su <= 0.0):
             return np.inf  # outside the open box: reject in any merit comparison
         out = 0.0
-        if np.any(self.fn.has_lb):
-            out -= mu * float(np.log(sl[self.fn.has_lb]).sum())
-        if np.any(self.fn.has_ub):
-            out -= mu * float(np.log(su[self.fn.has_ub]).sum())
+        if sl.size:
+            out -= mu * float(np.log(sl).sum())
+        if su.size:
+            out -= mu * float(np.log(su).sum())
         return out
 
     def grad(self, x, mu):
-        sl, su = self.slacks(x)
+        sl, su = self.fn.slacks(x)
         g = np.zeros_like(x)
-        g[self.fn.has_lb] -= mu / sl[self.fn.has_lb]
-        g[self.fn.has_ub] += mu / su[self.fn.has_ub]
+        g[self.fn.lb] -= mu / sl
+        g[self.fn.ub] += mu / su
         return g
 
 
-def _kkt_errors(fn: _Funcs, x, lam, zl, zu, mu, evals=None):
-    """evals: (gradient, Jacobian, constraints) at x, when already computed."""
-    sl = np.where(fn.has_lb, x - fn.lower, np.inf)
-    su = np.where(fn.has_ub, fn.upper - x, np.inf)
-    g, jac, c = evals or (fn.grad(x), fn.jac(x), fn.c(x))
-    r_dual = g + (jac.T @ lam if fn.m else 0.0) - zl + zu
+def _comp_error(fn: _Funcs, pt: _Point, zl, zu, mu):
+    sl, su = pt.slacks
+    comp_l = float(np.abs(zl[fn.lb] * sl - mu).max(initial=0.0))
+    return max(0.0, comp_l, float(np.abs(zu[fn.ub] * su - mu).max(initial=0.0)))
+
+
+def _kkt_errors(fn: _Funcs, pt: _Point, lam, zl, zu, mu):
+    """(stationarity, feasibility, complementarity) errors at pt."""
+    r_dual = pt.g + (pt.J.T @ lam if fn.m else 0.0) - zl + zu
     stat = float(np.abs(r_dual).max(initial=0.0))
-    feas = float(np.abs(c).max(initial=0.0)) if fn.m else 0.0
-    comp = 0.0
-    if np.any(fn.has_lb):
-        comp = max(comp, float(np.abs(zl[fn.has_lb] * sl[fn.has_lb] - mu).max()))
-    if np.any(fn.has_ub):
-        comp = max(comp, float(np.abs(zu[fn.has_ub] * su[fn.has_ub] - mu).max()))
-    return stat, feas, comp
+    return stat, pt.viol, _comp_error(fn, pt, zl, zu, mu)
 
 
-def _restore(fn: _Funcs, barrier: _Barrier, x, opts: IpmOptions, budget: int):
-    """Feasibility restoration: minimize 0.5*||c||^2 inside the bounds.
+def _restore(fn: _Funcs, barrier: _Barrier, pt: _Point, opts: IpmOptions, budget: int):
+    """Feasibility restoration: minimize 0.5*||c||^2 inside the bounds, from pt.
 
     Returns (x, feasible: bool, stalled_infeasible: bool, iters_used).
     """
     mu = 1e-4
     nu = 0.0
-    best = float(np.abs(fn.c(x)).max(initial=0.0))
+    best = pt.viol
     stall = 0
     target = max(opts.tol_feas, 1e-9)
     it = 0
     while it < budget:
         it += 1
-        c = fn.c(x)
-        viol = float(np.abs(c).max(initial=0.0))
+        x, c, viol = pt.x, pt.c, pt.viol
         if viol < best * (1.0 - 1e-6):
             best = viol
             stall = 0
@@ -289,11 +335,11 @@ def _restore(fn: _Funcs, barrier: _Barrier, x, opts: IpmOptions, budget: int):
         if stall >= _RESTORATION_STALL_ITERS:
             return x, False, best > _RESTORATION_STALL_VIOL, it
 
-        jac = fn.jac(x)
-        sl, su = barrier.slacks(x)
+        jac = pt.J
+        sl, su = pt.slacks
         sigma = np.zeros(fn.n)
-        sigma[fn.has_lb] += mu / sl[fn.has_lb] ** 2
-        sigma[fn.has_ub] += mu / su[fn.has_ub] ** 2
+        sigma[fn.lb] += mu / sl**2
+        sigma[fn.ub] += mu / su**2
         grad = jac.T @ c + barrier.grad(x, mu)
         h = jac.T @ jac + np.diag(sigma)
 
@@ -310,14 +356,14 @@ def _restore(fn: _Funcs, barrier: _Barrier, x, opts: IpmOptions, budget: int):
         nu = damping
 
         tau = max(_TAU_MIN, 1.0 - mu)
-        alpha = min(1.0, _max_step(x, dx, fn.lower, fn.upper, tau))
+        alpha = min(1.0, _max_step(fn, x, dx, tau))
         theta0 = 0.5 * float(c @ c) + barrier.value(x, mu)
         slope = float(grad @ dx)
         accepted = False
         for _ in range(_MAX_BACKTRACKS):
-            xt = x + alpha * dx
-            ct = fn.c(xt)
-            theta_t = 0.5 * float(ct @ ct) + barrier.value(xt, mu)
+            trial = _Point(fn, x + alpha * dx)
+            ct = trial.c
+            theta_t = 0.5 * float(ct @ ct) + barrier.value(trial.x, mu)
             if theta_t <= theta0 + _ARMIJO_ETA * alpha * slope:
                 accepted = True
                 break
@@ -328,123 +374,122 @@ def _restore(fn: _Funcs, barrier: _Barrier, x, opts: IpmOptions, budget: int):
             if mu < 1e-12:
                 return x, False, best > _RESTORATION_STALL_VIOL, it
             continue
-        x = xt
+        pt = trial
         if float(np.abs(grad).max(initial=0.0)) < 10.0 * mu:
             mu = max(mu * 0.1, 1e-12)
-    return x, best <= target, False, it
+    return pt.x, best <= target, False, it
 
 
 def solve_nlp(prob: NlpProblem, opts: IpmOptions = None, lam0: np.ndarray = None) -> IpmResult:
     opts = opts or IpmOptions()
     fn = _Funcs(prob)
     barrier = _Barrier(fn)
+    lb, ub = fn.lb, fn.ub
 
-    x = barrier.interior(np.asarray(prob.x0, dtype=float)[fn.free])
+    pt = _Point(fn, barrier.interior(np.asarray(prob.x0, dtype=float)[fn.free]))
     m, n = fn.m, fn.n
     lam = np.zeros(m) if lam0 is None else np.asarray(lam0, dtype=float).copy()
     mu = _MU_INIT
-    sl, su = barrier.slacks(x)
-    zl = np.where(fn.has_lb, mu / sl, 0.0)
-    zu = np.where(fn.has_ub, mu / su, 0.0)
+    sl, su = pt.slacks
+    zl, zu = fn.spread(mu / sl, mu / su)
 
     rho = 1.0
     it = 0
     restorations = 0
     need_restore = False
-    best = None  # (viol, f, x, lam, zl, zu)
+    best = None  # (point, lam, zl, zu) of least violation, then least f
 
-    def remember(xc, lamc, zlc, zuc):
+    def remember():
+        # No array is written in place, so holding references is safe. f is
+        # needed only to break a tie in the violation.
         nonlocal best
-        viol = float(np.abs(fn.c(xc)).max(initial=0.0)) if m else 0.0
-        key = (viol, fn.f(xc))
-        if best is None or key < (best[0], best[1]):
-            best = (key[0], key[1], xc.copy(), lamc.copy(), zlc.copy(), zuc.copy())
+        if best is None or pt.viol < best[0].viol or (
+            pt.viol == best[0].viol and pt.f < best[0].f
+        ):
+            best = (pt, lam, zl, zu)
 
-    def finish(status, message=""):
-        stat, feas, comp = _kkt_errors(fn, x, lam, zl, zu, 0.0)
+    def finish(status, message="", errors=None):
+        stat, feas, comp = errors or _kkt_errors(fn, pt, lam, zl, zu, 0.0)
         return _result(
-            fn, x, lam, zl, zu, status, it, mu, stat, feas, comp, restorations, message
+            fn, pt.x, lam, zl, zu, status, it, mu, stat, feas, comp, restorations, message
         )
 
-    remember(x, lam, zl, zu)
+    remember()
 
     while it < opts.max_iter:
         if need_restore:
             if restorations >= _MAX_RESTORATIONS:
-                viol = float(np.abs(fn.c(x)).max(initial=0.0)) if m else 0.0
-                status = "infeasible" if viol > _RESTORATION_STALL_VIOL else "max_iter"
+                status = "infeasible" if pt.viol > _RESTORATION_STALL_VIOL else "max_iter"
                 return finish(status, "restoration budget exhausted")
             restorations += 1
-            viol = float(np.abs(fn.c(x)).max(initial=0.0)) if m else 0.0
-            if viol <= max(opts.tol_feas, 1e-9):
+            if pt.viol <= max(opts.tol_feas, 1e-9):
                 # already feasible: the line search deadlocked, so recenter the
                 # duals and continue instead of running a full restoration
-                sl, su = barrier.slacks(x)
+                sl, su = pt.slacks
                 mu = max(mu * 10.0, 1e-6)
-                zl = np.where(fn.has_lb, mu / sl, 0.0)
-                zu = np.where(fn.has_ub, mu / su, 0.0)
+                zl, zu = fn.spread(mu / sl, mu / su)
                 rho = 1.0
                 need_restore = False
                 continue
             x, feasible, hopeless, used = _restore(
-                fn, barrier, x, opts, budget=opts.max_iter - it
+                fn, barrier, pt, opts, budget=opts.max_iter - it
             )
             it += used
-            x = barrier.interior(x)
-            sl, su = barrier.slacks(x)
+            pt = _Point(fn, barrier.interior(x))
+            sl, su = pt.slacks
             mu = max(mu, 1e-3)
             lam = np.zeros(m)
-            zl = np.where(fn.has_lb, mu / sl, 0.0)
-            zu = np.where(fn.has_ub, mu / su, 0.0)
+            zl, zu = fn.spread(mu / sl, mu / su)
             rho = 1.0
-            remember(x, lam, zl, zu)
+            remember()
             if hopeless:
                 return finish("infeasible", "restoration stalled above violation threshold")
             need_restore = False
             continue
 
-        evals = fn.grad(x), fn.jac(x), fn.c(x)
-        stat, feas, comp0 = _kkt_errors(fn, x, lam, zl, zu, 0.0, evals)
+        stat, feas, comp0 = _kkt_errors(fn, pt, lam, zl, zu, 0.0)
         if stat <= opts.tol_stat and feas <= opts.tol_feas and comp0 <= opts.tol_comp:
-            return finish("optimal")
+            return finish("optimal", errors=(stat, feas, comp0))
 
         # Adaptive barrier: mu follows the actual complementarity gap, so the
         # central path is tracked without an outer loop that can stall.
-        sl, su = barrier.slacks(x)
-        gap = 0.0
-        n_bounds = 0
-        if np.any(fn.has_lb):
-            gap += float((zl[fn.has_lb] * sl[fn.has_lb]).sum())
-            n_bounds += int(fn.has_lb.sum())
-        if np.any(fn.has_ub):
-            gap += float((zu[fn.has_ub] * su[fn.has_ub]).sum())
-            n_bounds += int(fn.has_ub.sum())
-        mu = _SIGMA * gap / n_bounds if n_bounds else 0.0
-        mu = max(mu, 1e-14) if n_bounds else 0.0
+        x = pt.x
+        sl, su = pt.slacks
+        n_bounds = lb.size + ub.size
+        gap = float((zl[lb] * sl).sum()) + float((zu[ub] * su).sum())
+        mu = max(_SIGMA * gap / n_bounds, 1e-14) if n_bounds else 0.0
 
         it += 1
 
         # Newton step on the perturbed KKT system, z eliminated.
         sig = np.zeros(n)
-        sig[fn.has_lb] += (zl / sl)[fn.has_lb]
-        sig[fn.has_ub] += (zu / su)[fn.has_ub]
-        grad, jac, c = evals
+        sig[lb] += zl[lb] / sl
+        sig[ub] += zu[ub] / su
+        grad, jac, c = pt.g, pt.J, pt.c
         w = fn.hess(x, lam, 1.0)
 
+        bar_l, bar_u = fn.spread(mu / sl, mu / su)
         r_x = grad + (jac.T @ lam if m else 0.0)
-        r_x = r_x - np.where(fn.has_lb, mu / sl, 0.0) + np.where(fn.has_ub, mu / su, 0.0)
+        r_x = r_x - bar_l + bar_u
         rhs = -np.concatenate([r_x, c])
 
+        # Built once; each inertia trial rewrites only the diagonal, as
+        # w + diag(sig) + delta_w*I and -delta_c*I. Off the diagonal the w block
+        # holds w + 0.0 and the constraint block -0.0: the bits those sums give.
+        kkt = np.zeros((n + m, n + m))
+        np.add(w, 0.0, out=kkt[:n, :n])
+        if m:
+            kkt[:n, n:] = jac.T
+            kkt[n:, :n] = jac
+            kkt[n:, n:] = -0.0
+        diag = kkt.reshape(-1)[:: n + m + 1]
+        w_sig = w.diagonal() + sig
         scale = max(1.0, float(np.abs(w).max(initial=0.0)))
         delta_w, delta_c = 0.0, 0.0
         step = None
         for _ in range(14):
-            kkt = np.zeros((n + m, n + m))
-            kkt[:n, :n] = w + np.diag(sig) + delta_w * np.eye(n)
-            if m:
-                kkt[:n, n:] = jac.T
-                kkt[n:, :n] = jac
-                kkt[n:, n:] = -delta_c * np.eye(m)
+            diag[:n] = w_sig + delta_w
+            diag[n:] = -delta_c
             saw_zero = False
             try:
                 step = _solve_kkt(kkt, rhs, n, m)
@@ -462,96 +507,78 @@ def solve_nlp(prob: NlpProblem, opts: IpmOptions = None, lam0: np.ndarray = None
 
         dx = step[:n]
         dlam = step[n:] if m else np.zeros(0)
-        dzl = np.where(fn.has_lb, (mu - zl * dx) / sl - zl, 0.0)
-        dzu = np.where(fn.has_ub, (mu + zu * dx) / su - zu, 0.0)
+        dzl, dzu = fn.spread(
+            (mu - zl[lb] * dx[lb]) / sl - zl[lb], (mu + zu[ub] * dx[ub]) / su - zu[ub]
+        )
 
         tau = min(max(_TAU_MIN, 1.0 - mu), 0.99995)
-        alpha_max = _max_step(x, dx, fn.lower, fn.upper, tau)
-        alpha_z = 1.0
-        if np.any(fn.has_lb):
-            alpha_z = min(alpha_z, _max_step_pos(zl[fn.has_lb], dzl[fn.has_lb], tau))
-        if np.any(fn.has_ub):
-            alpha_z = min(alpha_z, _max_step_pos(zu[fn.has_ub], dzu[fn.has_ub], tau))
+        alpha_max = _max_step(fn, x, dx, tau)
+        alpha_z = min(_max_step_pos(zl[lb], dzl[lb], tau), _max_step_pos(zu[ub], dzu[ub], tau))
 
         # Acceptance 1: the full primal-dual step contracts the perturbed KKT
         # residual. A primal merit cannot see dual progress, so Newton steps
         # that mostly re-center the multipliers are accepted on the residual
         # itself (this is also what quadratic local convergence requires).
-        stat_mu, feas_mu, comp_cur = _kkt_errors(fn, x, lam, zl, zu, mu, evals)
-        err_before = max(stat_mu, feas_mu, comp_cur)
-        xt = x + alpha_max * dx
+        # Stationarity and feasibility do not depend on mu.
+        err_before = max(stat, feas, _comp_error(fn, pt, zl, zu, mu))
+        trial = _Point(fn, x + alpha_max * dx)
         lam_t = lam + alpha_max * dlam if m else lam
-        zl_t = np.where(fn.has_lb, zl + alpha_z * dzl, 0.0)
-        zu_t = np.where(fn.has_ub, zu + alpha_z * dzu, 0.0)
-        sl_t, su_t = barrier.slacks(xt)
-        interior = bool(
-            np.all(sl_t[fn.has_lb] > 0.0) and np.all(su_t[fn.has_ub] > 0.0)
-        )
+        zl_t = zl + alpha_z * dzl
+        zu_t = zu + alpha_z * dzu
+        sl_t, su_t = trial.slacks
+        interior = bool(np.all(sl_t > 0.0) and np.all(su_t > 0.0))
         if (
             interior
-            and max(_kkt_errors(fn, xt, lam_t, zl_t, zu_t, mu))
+            and max(_kkt_errors(fn, trial, lam_t, zl_t, zu_t, mu))
             <= (1.0 - 1e-4 * alpha_max) * err_before
         ):
-            x, lam, zl, zu = xt, lam_t, zl_t, zu_t
+            pt, lam = trial, lam_t
         else:
             # Acceptance 2: l1 merit line search on the primal step.
             c_norm = float(np.abs(c).sum())
+            grad_bar = grad + barrier.grad(x, mu)
             if m and c_norm > 1e-14:
-                grad_bar = grad + barrier.grad(x, mu)
                 needed = float(grad_bar @ dx) / (0.9 * c_norm)
                 rho = max(rho, needed + 1.0, 1.1 * float(np.abs(lam + dlam).max(initial=0.0)))
-            phi0 = fn.f(x) + barrier.value(x, mu) + rho * c_norm
-            slope = float((grad + barrier.grad(x, mu)) @ dx) - rho * c_norm
+            phi0 = pt.f + barrier.value(x, mu) + rho * c_norm
+            slope = float(grad_bar @ dx) - rho * c_norm
 
             # floating-point noise floor: do not reject steps on rounding error
             noise = 100.0 * np.finfo(float).eps * max(1.0, abs(phi0))
             alpha = alpha_max
+            cand = trial
             accepted = False
             for _ in range(_MAX_BACKTRACKS):
-                xt = x + alpha * dx
-                phit = fn.f(xt) + barrier.value(xt, mu) + rho * float(np.abs(fn.c(xt)).sum())
+                phit = cand.f + barrier.value(cand.x, mu) + rho * float(np.abs(cand.c).sum())
                 if phit <= phi0 + _ARMIJO_ETA * alpha * min(slope, 0.0) + noise:
                     accepted = True
                     break
                 alpha *= 0.5
                 if alpha < 1e-12:
                     break
+                cand = _Point(fn, x + alpha * dx)
             if not accepted and alpha_max * float(np.abs(dx).max(initial=0.0)) <= 1e-14 * max(
                 1.0, float(np.abs(x).max(initial=0.0))
             ):
-                alpha = alpha_max
-                xt = x + alpha * dx
+                alpha, cand = alpha_max, trial
                 accepted = True
             if not accepted:
                 need_restore = True
                 continue
-            x = xt
+            pt = cand
             lam = lam + alpha * dlam if m else lam
-            zl = np.where(fn.has_lb, zl + alpha_z * dzl, 0.0)
-            zu = np.where(fn.has_ub, zu + alpha_z * dzu, 0.0)
         # keep duals safely positive and bounded relative to mu (centrality guard)
-        sl, su = barrier.slacks(x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            zl = np.where(
-                fn.has_lb,
-                np.clip(zl, mu / (1e10 * np.maximum(sl, 1e-300)), 1e10 * mu / np.maximum(sl, 1e-300)),
-                0.0,
-            )
-            zu = np.where(
-                fn.has_ub,
-                np.clip(zu, mu / (1e10 * np.maximum(su, 1e-300)), 1e10 * mu / np.maximum(su, 1e-300)),
-                0.0,
-            )
-        remember(x, lam, zl, zu)
+        sl, su = pt.slacks
+        sl, su = np.maximum(sl, 1e-300), np.maximum(su, 1e-300)
+        zl, zu = fn.spread(
+            np.clip(zl_t[lb], mu / (1e10 * sl), 1e10 * mu / sl),
+            np.clip(zu_t[ub], mu / (1e10 * su), 1e10 * mu / su),
+        )
+        remember()
 
     # iteration budget exhausted: report the best point seen
-    _, _, xb, lamb, zlb, zub = best
-    x, lam, zl, zu = xb, lamb, zlb, zub
-    stat, feas, comp = _kkt_errors(fn, x, lam, zl, zu, 0.0)
-    return _result(
-        fn, x, lam, zl, zu, "max_iter", it, mu, stat, feas, comp, restorations,
-        "iteration limit reached",
-    )
+    pt, lam, zl, zu = best
+    return finish("max_iter", "iteration limit reached")
 
 
 def _result(fn, x, lam, zl, zu, status, it, mu, stat, feas, comp, restorations, message):

@@ -345,67 +345,6 @@ class DemandSeries:
             raise ValidationError(f"bus {bus_id} not present in demand series") from None
 
 
-# -- per-unit conversion ----------------------------------------------------
-
-
-def mw_to_pu(value_mw, s_base: float):
-    if s_base <= 0.0:
-        raise ValidationError(f"s_base must be positive, got {s_base}")
-    return np.asarray(value_mw, dtype=float) / s_base
-
-
-def pu_to_mw(value_pu, s_base: float):
-    if s_base <= 0.0:
-        raise ValidationError(f"s_base must be positive, got {s_base}")
-    return np.asarray(value_pu, dtype=float) * s_base
-
-
-@dataclass(frozen=True)
-class PerUnitArrays:
-    """Demand and generator data of one network in per-unit form."""
-
-    bus_ids: tuple
-    p_load: np.ndarray  # (horizon, n_bus) p.u.
-    q_load: np.ndarray
-    gen_p_min: np.ndarray  # per generator, p.u.
-    gen_p_max: np.ndarray
-    gen_q_min: np.ndarray
-    gen_q_max: np.ndarray
-    s_base: float
-
-
-def to_per_unit(net: Network, demand: DemandSeries) -> PerUnitArrays:
-    """Convert MW/Mvar quantities to per-unit on the network's MVA base.
-
-    Demand columns are reordered to the network's bus order; buses absent
-    from the series get zero demand.
-    """
-    s = net.s_base
-    horizon = demand.horizon
-    p = np.zeros((horizon, net.n_bus))
-    q = np.zeros((horizon, net.n_bus))
-    for j, bid in enumerate(demand.bus_ids):
-        i = net.bus_index(bid)
-        p[:, i] = demand.p_mw[:, j]
-        q[:, i] = demand.q_mvar[:, j]
-    gens = net.generators
-    return PerUnitArrays(
-        bus_ids=net.bus_ids,
-        p_load=mw_to_pu(p, s),
-        q_load=mw_to_pu(q, s),
-        gen_p_min=mw_to_pu([g.p_min for g in gens], s),
-        gen_p_max=mw_to_pu([g.p_max for g in gens], s),
-        gen_q_min=mw_to_pu([g.q_min for g in gens], s),
-        gen_q_max=mw_to_pu([g.q_max for g in gens], s),
-        s_base=s,
-    )
-
-
-def from_per_unit(arrays: PerUnitArrays) -> tuple:
-    """Inverse of :func:`to_per_unit` for the demand block: (p_mw, q_mvar)."""
-    return pu_to_mw(arrays.p_load, arrays.s_base), pu_to_mw(arrays.q_load, arrays.s_base)
-
-
 def pv_injection(pv: PvUnit, hour: int, pf_override: tuple = None):
     """Active/reactive injection (MW, Mvar) of a PV unit at one hour.
 

@@ -117,10 +117,6 @@ class CaseResult:
     invalid_hours: int
     demand_total: float  # MW summed over Optimal hours, for the served+shed identity
 
-    @property
-    def load_served_mwh(self) -> float:
-        return self.load_served * self.dt
-
     def top_buses(self, m: int) -> tuple:
         return tuple(r.bus_id for r in self.ranking.records[:m])
 

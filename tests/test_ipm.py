@@ -1,8 +1,21 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from gridcap.ipm import IpmOptions, NlpProblem, _inertia, _solve_kkt, solve_nlp
+from conftest import hour_problem
+from gridcap import acopf, ipm
+from gridcap.ipm import (
+    IpmOptions,
+    NlpProblem,
+    _Barrier,
+    _Funcs,
+    _inertia,
+    _max_step,
+    _solve_kkt,
+    solve_nlp,
+)
 
 
 def bound_qp():
@@ -47,9 +60,9 @@ def test_equality_qp_multiplier():
     assert r.lam[0] == pytest.approx(-2.0, abs=1e-6)
 
 
-def test_nonconvex_equality_with_bounds():
+def nonconvex_problem():
     # min -xy s.t. x^2 + y^2 = 2 on [0,2]^2: optimum (1,1)
-    prob = NlpProblem(
+    return NlpProblem(
         x0=np.array([0.7, 1.2]),
         lower=np.zeros(2),
         upper=np.full(2, 2.0),
@@ -60,7 +73,10 @@ def test_nonconvex_equality_with_bounds():
         jacobian=lambda x: np.array([[2 * x[0], 2 * x[1]]]),
         hess_lag=lambda x, lam, s: np.array([[2 * lam[0], -s], [-s, 2 * lam[0]]]),
     )
-    r = solve_nlp(prob)
+
+
+def test_nonconvex_equality_with_bounds():
+    r = solve_nlp(nonconvex_problem())
     assert r.status == "optimal"
     np.testing.assert_allclose(r.x, [1.0, 1.0], atol=1e-6)
 
@@ -199,3 +215,138 @@ def test_solve_kkt_rejects_non_finite_entry():
     kkt[1, 2] = np.nan
     with pytest.raises(ValueError):
         _solve_kkt(kkt, rhs, n, m)
+
+
+# -- each point is evaluated once ---------------------------------------------
+
+VALUE_CALLBACKS = ("objective", "gradient", "constraints", "jacobian")
+
+
+def recording(prob):
+    """prob with each callback wrapped to record the bytes of every x it sees."""
+    seen = {name: [] for name in (*VALUE_CALLBACKS, "hess_lag")}
+
+    def wrap(name, fn):
+        def recorder(x, *args):
+            seen[name].append(x.tobytes())
+            return fn(x, *args)
+
+        return recorder
+
+    wrapped = {name: wrap(name, getattr(prob, name)) for name in seen}
+    return dataclasses.replace(prob, **wrapped), seen
+
+
+def assert_each_point_evaluated_once(seen, res):
+    assert res.restorations == 0
+    for name in VALUE_CALLBACKS:
+        assert len(set(seen[name])) == len(seen[name]), f"{name} saw a point twice"
+    assert len(seen["hess_lag"]) == res.iterations
+
+
+def test_nonconvex_solve_evaluates_each_point_once():
+    prob, seen = recording(nonconvex_problem())
+    res = solve_nlp(prob)
+    assert res.status == "optimal"
+    assert_each_point_evaluated_once(seen, res)
+
+
+@pytest.mark.parametrize("hour", [0, 7, 19])
+def test_cold_opf_solve_evaluates_each_point_once(microgrid9, monkeypatch, hour):
+    runs = []
+
+    def recording_solve_nlp(prob, *args, **kwargs):
+        prob, seen = recording(prob)
+        res = ipm.solve_nlp(prob, *args, **kwargs)
+        runs.append((seen, res))
+        return res
+
+    monkeypatch.setattr(acopf, "solve_nlp", recording_solve_nlp)
+    net, demand = microgrid9
+    sol = acopf.solve(hour_problem(net, demand, hour))
+    assert sol.status is acopf.OpfStatus.OPTIMAL
+    ((seen, res),) = runs
+    assert_each_point_evaluated_once(seen, res)
+
+
+# -- bound index arrays against the full-length mask form ----------------------
+
+
+def reference_max_step(x, dx, lo, hi, tau):
+    alpha = 1.0
+    shrink = dx < 0.0
+    if np.any(shrink & np.isfinite(lo)):
+        sel = shrink & np.isfinite(lo)
+        alpha = min(alpha, float(np.min(-tau * (x[sel] - lo[sel]) / dx[sel])))
+    grow = dx > 0.0
+    if np.any(grow & np.isfinite(hi)):
+        sel = grow & np.isfinite(hi)
+        alpha = min(alpha, float(np.min(tau * (hi[sel] - x[sel]) / dx[sel])))
+    return max(alpha, 0.0)
+
+
+def reference_barrier(x, lo, hi, mu):
+    """(value, gradient) of -mu * sum(log(slack)) over the finite bounds."""
+    has_lb, has_ub = np.isfinite(lo), np.isfinite(hi)
+    sl = np.where(has_lb, x - lo, np.inf)
+    su = np.where(has_ub, hi - x, np.inf)
+    g = np.zeros_like(x)
+    g[has_lb] -= mu / sl[has_lb]
+    g[has_ub] += mu / su[has_ub]
+    if np.any(sl[has_lb] <= 0.0) or np.any(su[has_ub] <= 0.0):
+        return np.inf, g
+    value = 0.0
+    if np.any(has_lb):
+        value -= mu * float(np.log(sl[has_lb]).sum())
+    if np.any(has_ub):
+        value -= mu * float(np.log(su[has_ub]).sum())
+    return value, g
+
+
+def random_boxes():
+    """Seeded (lower, upper, x, dx): bounds mixing finite values and +-inf, x
+    strictly inside, and dx with exact zeros."""
+    rng = np.random.default_rng(17)
+    for size in (1, 3, 8, 40):
+        for _ in range(25):
+            lo = rng.uniform(-2.0, 1.0, size)
+            hi = lo + rng.uniform(0.1, 3.0, size)
+            lo[rng.random(size) < 0.3] = -np.inf
+            hi[rng.random(size) < 0.3] = np.inf
+            has_lo, has_hi = np.isfinite(lo), np.isfinite(hi)
+            frac, gap = rng.uniform(0.05, 0.95, size), rng.uniform(0.01, 2.0, size)
+            x = rng.standard_normal(size)
+            both = has_lo & has_hi
+            x[both] = lo[both] + frac[both] * (hi[both] - lo[both])
+            x[has_lo & ~has_hi] = (lo + gap)[has_lo & ~has_hi]
+            x[has_hi & ~has_lo] = (hi - gap)[has_hi & ~has_lo]
+            dx = rng.standard_normal(size) * 10.0 ** rng.integers(-3, 3, size)
+            dx[rng.random(size) < 0.25] = 0.0
+            yield lo, hi, x, dx
+
+
+def box_funcs(lo, hi):
+    return _Funcs(NlpProblem(lo.copy(), lo, hi, 0, None, None, None, None, None))
+
+
+def test_max_step_matches_mask_form():
+    cases = list(random_boxes())
+    cases.append((np.full(3, -np.inf), np.full(3, np.inf), np.zeros(3), np.ones(3)))
+    for lo, hi, x, dx in cases:
+        fn = box_funcs(lo, hi)
+        for tau in (0.99, 0.99995, 1.0):
+            assert _max_step(fn, x, dx, tau) == reference_max_step(x, dx, lo, hi, tau)
+
+
+def test_barrier_value_and_grad_match_mask_form():
+    saw_outside = False
+    for k, (lo, hi, x, dx) in enumerate(random_boxes()):
+        barrier = _Barrier(box_funcs(lo, hi))
+        # every third point steps through the box: value must be inf there
+        y = x + 10.0 * dx if k % 3 == 0 else x
+        for mu in (1e-1, 1e-7):
+            value, grad = reference_barrier(y, lo, hi, mu)
+            saw_outside |= value == np.inf
+            assert barrier.value(y, mu) == value
+            assert np.array_equal(barrier.grad(y, mu), grad)
+    assert saw_outside

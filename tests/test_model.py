@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from gridcap.model import (
     Branch,
@@ -14,11 +13,7 @@ from gridcap.model import (
     PvUnit,
     ShuntCapacitor,
     ValidationError,
-    from_per_unit,
-    mw_to_pu,
-    pu_to_mw,
     pv_injection,
-    to_per_unit,
 )
 
 
@@ -150,37 +145,6 @@ class TestTopology:
         for k in range(len(closed)):
             fewer = closed[:k] + closed[k + 1 :]
             assert graph_components(net.bus_ids, fewer) >= n_before
-
-
-class TestPerUnit:
-    def test_basic_conversion(self):
-        assert mw_to_pu(4.0, 10.0) == 0.4
-        assert mw_to_pu(0.0, 10.0) == 0.0
-        assert pu_to_mw(0.4, 10.0) == 4.0
-
-    def test_nonpositive_base_rejected(self):
-        with pytest.raises(ValidationError):
-            mw_to_pu(4.0, 0.0)
-
-    def test_fixture_round_trip(self, microgrid9):
-        net, demand = microgrid9
-        arrays = to_per_unit(net, demand)
-        p_mw, q_mvar = from_per_unit(arrays)
-        # compare at the network's column order
-        for j, b in enumerate(demand.bus_ids):
-            i = net.bus_index(b)
-            mask = np.isfinite(demand.p_mw[:, j])
-            np.testing.assert_allclose(
-                p_mw[mask, i], demand.p_mw[mask, j], rtol=1e-12, atol=0.0
-            )
-            np.testing.assert_allclose(
-                q_mvar[mask, i], demand.q_mvar[mask, j], rtol=1e-12, atol=0.0
-            )
-
-    @given(st.floats(0.0, 1e4), st.floats(0.1, 1e3))
-    def test_round_trip_property(self, mw, base):
-        back = float(pu_to_mw(mw_to_pu(mw, base), base))
-        assert back == pytest.approx(mw, rel=1e-12, abs=1e-300)
 
 
 class TestPvInjection:
