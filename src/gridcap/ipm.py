@@ -99,8 +99,9 @@ class _Funcs:
         self.n_full = lower.size
         self.frozen = (upper - lower) <= _FROZEN_GAP
         self.free = ~self.frozen
+        self.any_frozen = bool(self.frozen.any())
         self.x_frozen = np.zeros(self.n_full)
-        if np.any(self.frozen):
+        if self.any_frozen:
             self.x_frozen[self.frozen] = 0.5 * (lower[self.frozen] + upper[self.frozen])
         self.lower = lower[self.free]
         self.upper = upper[self.free]
@@ -115,6 +116,8 @@ class _Funcs:
         self.hi_b = self.upper[self.ub]
 
     def expand(self, x):
+        if not self.any_frozen:
+            return x
         full = self.x_frozen.copy()
         full[self.free] = x
         return full
@@ -123,7 +126,8 @@ class _Funcs:
         return float(self.prob.objective(self.expand(x)))
 
     def grad(self, x):
-        return np.asarray(self.prob.gradient(self.expand(x)), dtype=float)[self.free]
+        g = self.grad_full(x)
+        return g[self.free] if self.any_frozen else g
 
     def grad_full(self, x):
         return np.asarray(self.prob.gradient(self.expand(x)), dtype=float)
@@ -132,14 +136,17 @@ class _Funcs:
         return np.asarray(self.prob.constraints(self.expand(x)), dtype=float)
 
     def jac(self, x):
-        return np.asarray(self.prob.jacobian(self.expand(x)), dtype=float)[:, self.free]
+        # Fortran order either way, as the column slice gives: jac.T @ lam
+        # then takes the same BLAS path with or without frozen variables
+        j = self.jac_full(x)
+        return j[:, self.free] if self.any_frozen else np.asfortranarray(j)
 
     def jac_full(self, x):
         return np.asarray(self.prob.jacobian(self.expand(x)), dtype=float)
 
     def hess(self, x, lam, sigma):
         h = np.asarray(self.prob.hess_lag(self.expand(x), lam, sigma), dtype=float)
-        return h[np.ix_(self.free, self.free)]
+        return h[np.ix_(self.free, self.free)] if self.any_frozen else h
 
     def slacks(self, x):
         """(x - l, u - x) on the finite lower and upper bounds."""
@@ -587,7 +594,7 @@ def _result(fn, x, lam, zl, zu, status, it, mu, stat, feas, comp, restorations, 
     zu_full = np.zeros(fn.n_full)
     zl_full[fn.free] = zl
     zu_full[fn.free] = zu
-    if np.any(fn.frozen):
+    if fn.any_frozen:
         # recover net bound multipliers of pinned variables from stationarity
         g_full = fn.grad_full(x) + (fn.jac_full(x).T @ lam if fn.m else 0.0)
         gz = g_full[fn.frozen]
