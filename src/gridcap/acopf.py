@@ -424,36 +424,47 @@ def _flat_start(problem: OpfProblem):
     return x0
 
 
-def _warm_start_x(problem: OpfProblem, warm: OpfSolution):
-    if tuple(warm.bus_ids) != tuple(problem.island_bus_ids):
-        raise ValidationError("warm start solved a different island")
-    if len(warm.p_g) != problem.ng:
-        raise ValidationError("warm start has a different generator set")
-    x0 = np.zeros(problem.nx)
-    x0[problem.sl_th] = warm.theta[problem.nonslack]
-    x0[problem.sl_v] = warm.v
-    x0[problem.sl_pg] = warm.p_g / problem.network.s_base
-    x0[problem.sl_qg] = warm.q_g / problem.network.s_base
-    if problem.ns:
-        x0[problem.sl_s] = warm.shed[problem.shed_pos]
-    lam0 = np.concatenate([warm.lambda_p, warm.lambda_q])
-    return x0, lam0
+def _solution_point(problem: OpfProblem, sol: OpfSolution):
+    """(x, lam, z_lower, z_upper) of sol in problem's NLP variable layout, in
+    true (unscaled) units. Shed multipliers are read at problem's shed buses."""
+    pr = problem
+    if tuple(sol.bus_ids) != tuple(pr.island_bus_ids):
+        raise ValidationError("solution is for a different island")
+    if len(sol.p_g) != pr.ng:
+        raise ValidationError("solution has a different generator set")
+    x, zl, zu = np.zeros(pr.nx), np.zeros(pr.nx), np.zeros(pr.nx)
+    x[pr.sl_th] = sol.theta[pr.nonslack]
+    x[pr.sl_v] = sol.v
+    x[pr.sl_pg] = sol.p_g / pr.network.s_base
+    x[pr.sl_qg] = sol.q_g / pr.network.s_base
+    x[pr.sl_s] = sol.shed[pr.shed_pos]
+    for sl, lo, hi in (
+        (pr.sl_v, sol.mu_v_min, sol.mu_v_max),
+        (pr.sl_pg, sol.mu_pg_min, sol.mu_pg_max),
+        (pr.sl_qg, sol.mu_qg_min, sol.mu_qg_max),
+        (pr.sl_s, sol.mu_shed_min[pr.shed_pos], sol.mu_shed_max[pr.shed_pos]),
+    ):
+        zl[sl], zu[sl] = lo, hi
+    return x, np.concatenate([sol.lambda_p, sol.lambda_q]), zl, zu
 
 
 def solve(problem: OpfProblem, warm_start: OpfSolution = None) -> OpfSolution:
     """Solve the AC-OPF with one interior-point run.
 
-    The run starts flat, or from warm_start's primal point and balance
-    multipliers when given. Whatever status it ends with is returned; there
-    is no second attempt, so `iterations` counts every iteration spent.
+    The run starts flat, or from warm_start's whole primal-dual point: its
+    voltages, dispatch and shed fractions, its balance multipliers and its
+    voltage, generator and shed bound multipliers (shed ones read at this
+    problem's shed buses). A warm run starts near that point with a small
+    barrier parameter. Whatever status it ends with is returned; there is no
+    second attempt, so `iterations` counts every iteration spent.
     """
     pr = problem
     f_scale = pr.f_scale
     if warm_start is None:
-        x0, lam0 = _flat_start(pr), None
+        x0, warm = _flat_start(pr), None
     else:
-        x0, lam_true = _warm_start_x(pr, warm_start)
-        lam0 = lam_true * f_scale
+        x0, *duals = _solution_point(pr, warm_start)
+        warm = tuple(d * f_scale for d in duals)
 
     nlp, value_fn = _assemble_nlp(pr, x0, f_scale)
     opts = IpmOptions(
@@ -462,7 +473,7 @@ def solve(problem: OpfProblem, warm_start: OpfSolution = None) -> OpfSolution:
         tol_comp=pr.options.comp_tol * f_scale,
         max_iter=pr.options.max_iter,
     )
-    res = solve_nlp(nlp, opts, lam0=lam0)
+    res = solve_nlp(nlp, opts, warm)
 
     status = {
         "optimal": OpfStatus.OPTIMAL,
@@ -538,28 +549,8 @@ def kkt_report(solution: OpfSolution, problem: OpfProblem) -> KktReport:
     independently of solver internals. Stationarity is with respect to the
     solver objective (including tie-break terms)."""
     pr = problem
-    n = pr.n
-    x = np.zeros(pr.nx)
-    x[pr.sl_th] = solution.theta[pr.nonslack]
-    x[pr.sl_v] = solution.v
-    x[pr.sl_pg] = solution.p_g / pr.network.s_base
-    x[pr.sl_qg] = solution.q_g / pr.network.s_base
-    if pr.ns:
-        x[pr.sl_s] = solution.shed[pr.shed_pos]
-
+    x, lam, zl, zu = _solution_point(pr, solution)
     nlp, _ = _assemble_nlp(pr, x, 1.0)
-    lam = np.concatenate([solution.lambda_p, solution.lambda_q])
-    zl = np.zeros(pr.nx)
-    zu = np.zeros(pr.nx)
-    zl[pr.sl_v] = solution.mu_v_min
-    zu[pr.sl_v] = solution.mu_v_max
-    zl[pr.sl_pg] = solution.mu_pg_min
-    zu[pr.sl_pg] = solution.mu_pg_max
-    zl[pr.sl_qg] = solution.mu_qg_min
-    zu[pr.sl_qg] = solution.mu_qg_max
-    if pr.ns:
-        zl[pr.sl_s] = solution.mu_shed_min[pr.shed_pos]
-        zu[pr.sl_s] = solution.mu_shed_max[pr.shed_pos]
 
     grad = nlp.gradient(x)
     jac = nlp.jacobian(x)

@@ -23,6 +23,9 @@ c on first use and keeps them, and an accepted trial point becomes the
 current point with the values its acceptance test computed, so the next
 convergence check and line search reuse them. The KKT matrix is built once
 per iteration; the inertia trials rewrite only its two diagonals.
+
+A warm start carries a nearby solution's whole primal-dual point: x, lam and
+the bound multipliers, with a small initial barrier parameter and bound push.
 """
 
 from __future__ import annotations
@@ -43,6 +46,11 @@ _MAX_RESTORATIONS = 3
 _RESTORATION_STALL_ITERS = 20  # stall window before declaring infeasible
 _RESTORATION_STALL_VIOL = 1e-4  # p.u. violation threshold for infeasibility
 _BOUND_PUSH = 1e-2
+# A warm start is a nearby solution: start close to it, near the end of the
+# central path, keeping its bound multipliers (Yildirim & Wright, SIAM J.
+# Optim. 12(3), 2002).
+_WARM_MU_INIT = 1e-6
+_WARM_BOUND_PUSH = 1e-6
 
 
 @dataclass
@@ -268,21 +276,22 @@ class _Barrier:
     def __init__(self, funcs: _Funcs):
         self.fn = funcs
 
-    def interior(self, x):
-        """Clip a start point strictly inside the bounds."""
+    def interior(self, x, push=_BOUND_PUSH):
+        """Clip a start point strictly inside the bounds, by push times each
+        box width."""
         lo, hi = self.fn.lower, self.fn.upper
         x = np.asarray(x, dtype=float).copy()
         both = self.fn.has_lb & self.fn.has_ub
         if np.any(both):
-            pad = _BOUND_PUSH * (hi[both] - lo[both])
+            pad = push * (hi[both] - lo[both])
             x[both] = np.clip(x[both], lo[both] + pad, hi[both] - pad)
         only_lb = self.fn.has_lb & ~self.fn.has_ub
         if np.any(only_lb):
-            pad = _BOUND_PUSH * np.maximum(1.0, np.abs(lo[only_lb]))
+            pad = push * np.maximum(1.0, np.abs(lo[only_lb]))
             x[only_lb] = np.maximum(x[only_lb], lo[only_lb] + pad)
         only_ub = self.fn.has_ub & ~self.fn.has_lb
         if np.any(only_ub):
-            pad = _BOUND_PUSH * np.maximum(1.0, np.abs(hi[only_ub]))
+            pad = push * np.maximum(1.0, np.abs(hi[only_ub]))
             x[only_ub] = np.minimum(x[only_ub], hi[only_ub] - pad)
         return x
 
@@ -387,18 +396,33 @@ def _restore(fn: _Funcs, barrier: _Barrier, pt: _Point, opts: IpmOptions, budget
     return pt.x, best <= target, False, it
 
 
-def solve_nlp(prob: NlpProblem, opts: IpmOptions = None, lam0: np.ndarray = None) -> IpmResult:
+def solve_nlp(prob: NlpProblem, opts: IpmOptions = None, warm=None) -> IpmResult:
+    """Solve prob from prob.x0.
+
+    warm, when given, is (lam, z_lower, z_upper) of a nearby solution, the
+    bound multipliers full-length like x0: the start is pushed only
+    _WARM_BOUND_PUSH of each box width inside, mu starts at _WARM_MU_INIT and
+    each finite-bound multiplier at max(z_warm, mu / slack). Without it the
+    start is cold: a push of _BOUND_PUSH, mu = _MU_INIT, lam = 0 and
+    multipliers mu / slack.
+    """
     opts = opts or IpmOptions()
     fn = _Funcs(prob)
     barrier = _Barrier(fn)
     lb, ub = fn.lb, fn.ub
-
-    pt = _Point(fn, barrier.interior(np.asarray(prob.x0, dtype=float)[fn.free]))
     m, n = fn.m, fn.n
-    lam = np.zeros(m) if lam0 is None else np.asarray(lam0, dtype=float).copy()
-    mu = _MU_INIT
+
+    if warm is None:
+        push, mu = _BOUND_PUSH, _MU_INIT
+        warm = (np.zeros(m), np.zeros(fn.n_full), np.zeros(fn.n_full))
+    else:
+        push, mu = _WARM_BOUND_PUSH, _WARM_MU_INIT
+    lam, z_lower, z_upper = (np.array(a, dtype=float) for a in warm)
+    pt = _Point(fn, barrier.interior(np.asarray(prob.x0, dtype=float)[fn.free], push))
     sl, su = pt.slacks
-    zl, zu = fn.spread(mu / sl, mu / su)
+    zl, zu = fn.spread(
+        np.maximum(z_lower[fn.free][lb], mu / sl), np.maximum(z_upper[fn.free][ub], mu / su)
+    )
 
     rho = 1.0
     it = 0

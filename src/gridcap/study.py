@@ -5,9 +5,10 @@ it with stressed power factors (exposing reactive-support scarcity);
 Case 3 answers the stress with optimal load delivery (corrective
 shedding); Case 4 answers it with shunt capacitors at the top-ranked buses
 and reruns the economic objective. Hours are solved in sequence, each
-warm-started from the previous optimal hour with one solve and no cold
-fallback; hours flagged invalid in the demand series are skipped and
-reported separately.
+warm-started from the previous optimal hour's whole primal-dual point
+(voltages, dispatch, shed fractions, balance and bound multipliers) with one
+solve and no cold fallback; hours flagged invalid in the demand series are
+skipped and reported separately.
 """
 
 from __future__ import annotations
@@ -148,8 +149,8 @@ def _hour_injections(net: Network, hour: int, pf_overrides) -> tuple:
 
 def run_case(scenario: Scenario, network: Network, demand: DemandSeries) -> CaseResult:
     """Solve one case hour by hour and aggregate. Each valid hour is one
-    solve, warm-started from the previous optimal hour (flat before the
-    first); a non-optimal hour is reported as it ended."""
+    solve, warm-started from the previous optimal hour's primal-dual point
+    (flat before the first); a non-optimal hour is reported as it ended."""
     net = network.with_shunts(scenario.capacitors) if scenario.capacitors else network
     horizon = demand.horizon
     for pv in net.pv_units:

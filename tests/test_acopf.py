@@ -217,6 +217,21 @@ class TestSolve:
         with pytest.raises(ValidationError):
             solve(hour_problem(net5, demand5, 0), warm_start=sol2)
 
+    @pytest.mark.parametrize("objective", [Objective.ECONOMIC, Objective.OPTIMAL_LOAD_DELIVERY])
+    @pytest.mark.parametrize("hour", [0, 7, 19, 30])
+    def test_restart_at_optimum_is_immediate(self, microgrid9, hour, objective):
+        # the warm start carries the whole primal-dual point, bound multipliers
+        # included, so re-solving from the hour's own optimum has nothing to do
+        # (a primal point and balance multipliers alone take 7-8 iterations)
+        net, demand = microgrid9
+        problem = hour_problem(net, demand, hour, objective)
+        cold = solve(problem)
+        warm = solve(problem, warm_start=cold)
+        assert cold.status is OpfStatus.OPTIMAL
+        assert warm.status is OpfStatus.OPTIMAL
+        assert warm.iterations <= 3
+        assert warm.objective_value == pytest.approx(cold.objective_value, rel=1e-6)
+
     def test_multiplier_rescaling(self, base_problem):
         sol = solve(base_problem)
         np.testing.assert_allclose(sol.lambda_p_per_mw, sol.lambda_p / 10.0)

@@ -132,6 +132,49 @@ def test_deterministic():
     assert np.array_equal(r1.z_upper, r2.z_upper)
 
 
+def assert_same_result(a, b):
+    assert (a.status, a.iterations, a.mu) == (b.status, b.iterations, b.mu)
+    for name in ("x", "lam", "z_lower", "z_upper"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+
+@pytest.mark.parametrize("make", [bound_qp, nonconvex_problem])
+def test_cold_start_is_unchanged_by_the_warm_path(make, monkeypatch):
+    cold = solve_nlp(make())
+    monkeypatch.setattr(ipm, "_WARM_MU_INIT", 0.37)
+    monkeypatch.setattr(ipm, "_WARM_BOUND_PUSH", 0.2)
+    assert_same_result(solve_nlp(make()), cold)
+    # a cold start is the warm path with zero multipliers and the cold constants
+    monkeypatch.setattr(ipm, "_WARM_MU_INIT", ipm._MU_INIT)
+    monkeypatch.setattr(ipm, "_WARM_BOUND_PUSH", ipm._BOUND_PUSH)
+    prob = make()
+    zeros = np.zeros(prob.x0.size)
+    assert_same_result(solve_nlp(prob, warm=(np.zeros(prob.n_eq), zeros, zeros)), cold)
+
+
+@pytest.mark.parametrize("hour", [0, 7, 19])
+def test_cold_opf_solve_is_unchanged_by_the_warm_path(microgrid9, monkeypatch, hour):
+    net, demand = microgrid9
+    cold = acopf.solve(hour_problem(net, demand, hour))
+    assert cold.iterations == 8  # as before warm starts carried bound multipliers
+    monkeypatch.setattr(ipm, "_WARM_MU_INIT", 0.37)
+    monkeypatch.setattr(ipm, "_WARM_BOUND_PUSH", 0.2)
+    again = acopf.solve(hour_problem(net, demand, hour))
+    assert again.iterations == cold.iterations
+    assert again.mu_final == cold.mu_final
+    for name in ("v", "theta", "p_g", "q_g", "lambda_p", "lambda_q", "mu_v_max", "mu_pg_min"):
+        assert getattr(again, name).tobytes() == getattr(cold, name).tobytes(), name
+
+
+def test_warm_restart_keeps_the_bound_multiplier():
+    r = solve_nlp(bound_qp())
+    w = solve_nlp(dataclasses.replace(bound_qp(), x0=r.x), warm=(r.lam, r.z_lower, r.z_upper))
+    assert w.status == "optimal"
+    assert w.iterations <= 2
+    assert w.x[0] == pytest.approx(1.0, abs=1e-6)
+    assert w.z_upper[0] == pytest.approx(2.0, abs=1e-4)
+
+
 def test_multiplier_nonnegativity_and_complementarity():
     r = solve_nlp(bound_qp())
     assert r.z_lower.min() >= 0.0 and r.z_upper.min() >= 0.0

@@ -30,6 +30,28 @@ class TestScenarioValidation:
         assert s.objective.value == "old"
 
 
+def assert_chained_matches_cold(scenario, net, demand, monkeypatch):
+    """Run the case chained; each hour must end as a cold solve of the same
+    problem does, with the same objective."""
+    problems = []
+
+    def recording_solve(problem, warm_start=None):
+        problems.append(problem)
+        return acopf.solve(problem, warm_start=warm_start)
+
+    monkeypatch.setattr(study, "solve", recording_solve)
+    chained = run_case(scenario, net, demand)
+    valid = [o for o in chained.hours if o.valid]
+    assert len(problems) == len(valid) == len(demand.valid_hours)
+    for outcome, problem in zip(valid, problems):
+        cold = acopf.solve(problem)
+        assert outcome.solution.status is cold.status
+        assert outcome.solution.objective_value == pytest.approx(
+            cold.objective_value, rel=1e-6
+        )
+    return chained
+
+
 class TestRunCase:
     def test_economic_fixture_runs_clean(self, microgrid9, study9):
         case1 = study9.case(1)
@@ -84,22 +106,22 @@ class TestRunCase:
 
     def test_warm_start_equivalence(self, microgrid9, monkeypatch):
         net, demand = microgrid9
-        problems = []
+        assert_chained_matches_cold(Scenario(CaseId.ECONOMIC), net, demand, monkeypatch)
 
-        def recording_solve(problem, warm_start=None):
-            problems.append(problem)
-            return acopf.solve(problem, warm_start=warm_start)
-
-        monkeypatch.setattr(study, "solve", recording_solve)
-        chained = run_case(Scenario(CaseId.ECONOMIC), net, demand)
-        valid = [o for o in chained.hours if o.valid]
-        assert len(problems) == len(valid) == len(demand.valid_hours)
-        for outcome, problem in zip(valid, problems):
-            cold = acopf.solve(problem)
-            assert outcome.solution.status is cold.status
-            assert outcome.solution.objective_value == pytest.approx(
-                cold.objective_value, rel=1e-6
-            )
+    @pytest.mark.parametrize("case", [3, 4])
+    def test_warm_start_equivalence_with_bound_duals(self, microgrid9, study9, monkeypatch, case):
+        # Case 3 chains shed multipliers through shed_pos; Case 4 solves a
+        # network with capacitors
+        net, demand = microgrid9
+        if case == 3:
+            scenario = Scenario(CaseId.OLD, pf_overrides=uniform_stress(net, 0.85, PfSign.LAGGING))
+        else:
+            caps = tuple(ShuntCapacitor(bus=b, b_cap=0.5 / net.s_base) for b in study9.placement)
+            scenario = Scenario(CaseId.CAP_ENHANCED, capacitors=caps)
+        chained = assert_chained_matches_cold(scenario, net, demand, monkeypatch)
+        if case == 3:
+            assert any(o.solution.mu_shed_min.any() for o in chained.hours if o.valid)
+            assert chained.load_shed > 0.0
 
     def test_one_nlp_solve_per_valid_hour(self, microgrid9, monkeypatch):
         net, demand = microgrid9
