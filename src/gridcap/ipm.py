@@ -278,7 +278,7 @@ class _Barrier:
 
     def interior(self, x, push=_BOUND_PUSH):
         """Clip a start point strictly inside the bounds, by push times each
-        box width."""
+        box width (times max(1, |bound|) where only one side is finite)."""
         lo, hi = self.fn.lower, self.fn.upper
         x = np.asarray(x, dtype=float).copy()
         both = self.fn.has_lb & self.fn.has_ub

@@ -232,6 +232,18 @@ class TestSolve:
         assert warm.iterations <= 3
         assert warm.objective_value == pytest.approx(cold.objective_value, rel=1e-6)
 
+    def test_warm_start_across_objectives(self, microgrid9):
+        # shed multipliers are read at the warm-started problem's shed buses,
+        # so an economic solution warm-starts an OLD problem and back
+        net, demand = microgrid9
+        econ, old = (hour_problem(net, demand, 7, objective) for objective in Objective)
+        for source, target in ((econ, old), (old, econ)):
+            warm = solve(target, warm_start=solve(source))
+            cold = solve(target)
+            assert warm.status is OpfStatus.OPTIMAL
+            assert cold.status is OpfStatus.OPTIMAL
+            assert warm.objective_value == pytest.approx(cold.objective_value, rel=1e-6)
+
     def test_multiplier_rescaling(self, base_problem):
         sol = solve(base_problem)
         np.testing.assert_allclose(sol.lambda_p_per_mw, sol.lambda_p / 10.0)
