@@ -156,7 +156,7 @@ def test_cold_start_is_unchanged_by_the_warm_path(make, monkeypatch):
 def test_cold_opf_solve_is_unchanged_by_the_warm_path(microgrid9, monkeypatch, hour):
     net, demand = microgrid9
     cold = acopf.solve(hour_problem(net, demand, hour))
-    assert cold.iterations == 8  # as before warm starts carried bound multipliers
+    assert cold.iterations == 8  # pinned: the cold start of these hours
     monkeypatch.setattr(ipm, "_WARM_MU_INIT", 0.37)
     monkeypatch.setattr(ipm, "_WARM_BOUND_PUSH", 0.2)
     again = acopf.solve(hour_problem(net, demand, hour))
