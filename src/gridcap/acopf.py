@@ -454,9 +454,11 @@ def solve(problem: OpfProblem, warm_start: OpfSolution = None) -> OpfSolution:
     The run starts flat, or from warm_start's whole primal-dual point: its
     voltages, dispatch and shed fractions, its balance multipliers and its
     voltage, generator and shed bound multipliers (shed ones read at this
-    problem's shed buses). A warm run starts near that point with a small
-    barrier parameter. Whatever status it ends with is returned; there is no
-    second attempt, so `iterations` counts every iteration spent.
+    problem's shed buses). A warm run starts near that point and floors the
+    carried bound multipliers at 1e-6 / slack, so its first barrier parameter
+    follows their complementarity products. Whatever status it ends with is
+    returned; there is no second attempt, so `iterations` counts every
+    iteration spent.
     """
     pr = problem
     f_scale = pr.f_scale

@@ -25,7 +25,8 @@ convergence check and line search reuse them. The KKT matrix is built once
 per iteration; the inertia trials rewrite only its two diagonals.
 
 A warm start carries a nearby solution's whole primal-dual point: x, lam and
-the bound multipliers, with a small initial barrier parameter and bound push.
+the bound multipliers, with a small bound push and a small floor on the
+multipliers.
 """
 
 from __future__ import annotations
@@ -48,7 +49,9 @@ _RESTORATION_STALL_VIOL = 1e-4  # p.u. violation threshold for infeasibility
 _BOUND_PUSH = 1e-2
 # A warm start is a nearby solution: start close to it, near the end of the
 # central path, keeping its bound multipliers (Yildirim & Wright, SIAM J.
-# Optim. 12(3), 2002).
+# Optim. 12(3), 2002). Each initial bound multiplier is floored at
+# mu0 / slack, mu0 = _MU_INIT cold or _WARM_MU_INIT warm; the first
+# iteration's mu is then _SIGMA times the mean multiplier-slack product.
 _WARM_MU_INIT = 1e-6
 _WARM_BOUND_PUSH = 1e-6
 
@@ -107,9 +110,8 @@ class _Funcs:
         self.n_full = lower.size
         self.frozen = (upper - lower) <= _FROZEN_GAP
         self.free = ~self.frozen
-        self.any_frozen = bool(self.frozen.any())
         self.x_frozen = np.zeros(self.n_full)
-        if self.any_frozen:
+        if np.any(self.frozen):
             self.x_frozen[self.frozen] = 0.5 * (lower[self.frozen] + upper[self.frozen])
         self.lower = lower[self.free]
         self.upper = upper[self.free]
@@ -124,8 +126,6 @@ class _Funcs:
         self.hi_b = self.upper[self.ub]
 
     def expand(self, x):
-        if not self.any_frozen:
-            return x
         full = self.x_frozen.copy()
         full[self.free] = x
         return full
@@ -134,8 +134,7 @@ class _Funcs:
         return float(self.prob.objective(self.expand(x)))
 
     def grad(self, x):
-        g = self.grad_full(x)
-        return g[self.free] if self.any_frozen else g
+        return np.asarray(self.prob.gradient(self.expand(x)), dtype=float)[self.free]
 
     def grad_full(self, x):
         return np.asarray(self.prob.gradient(self.expand(x)), dtype=float)
@@ -144,17 +143,14 @@ class _Funcs:
         return np.asarray(self.prob.constraints(self.expand(x)), dtype=float)
 
     def jac(self, x):
-        # Fortran order either way, as the column slice gives: jac.T @ lam
-        # then takes the same BLAS path with or without frozen variables
-        j = self.jac_full(x)
-        return j[:, self.free] if self.any_frozen else np.asfortranarray(j)
+        return np.asarray(self.prob.jacobian(self.expand(x)), dtype=float)[:, self.free]
 
     def jac_full(self, x):
         return np.asarray(self.prob.jacobian(self.expand(x)), dtype=float)
 
     def hess(self, x, lam, sigma):
         h = np.asarray(self.prob.hess_lag(self.expand(x), lam, sigma), dtype=float)
-        return h[np.ix_(self.free, self.free)] if self.any_frozen else h
+        return h[np.ix_(self.free, self.free)]
 
     def slacks(self, x):
         """(x - l, u - x) on the finite lower and upper bounds."""
@@ -401,10 +397,12 @@ def solve_nlp(prob: NlpProblem, opts: IpmOptions = None, warm=None) -> IpmResult
 
     warm, when given, is (lam, z_lower, z_upper) of a nearby solution, the
     bound multipliers full-length like x0: the start is pushed only
-    _WARM_BOUND_PUSH of each box width inside, mu starts at _WARM_MU_INIT and
-    each finite-bound multiplier at max(z_warm, mu / slack). Without it the
-    start is cold: a push of _BOUND_PUSH, mu = _MU_INIT, lam = 0 and
-    multipliers mu / slack.
+    _WARM_BOUND_PUSH of each box width inside and each finite-bound
+    multiplier starts at max(z_warm, _WARM_MU_INIT / slack). Without it the
+    start is cold: a push of _BOUND_PUSH, lam = 0 and multipliers
+    _MU_INIT / slack. Either way the first iteration's mu is _SIGMA times
+    the mean multiplier-slack product: 0.01 cold, at least 1e-7 warm and
+    more where the carried multipliers times the new slacks are larger.
     """
     opts = opts or IpmOptions()
     fn = _Funcs(prob)
@@ -618,7 +616,7 @@ def _result(fn, x, lam, zl, zu, status, it, mu, stat, feas, comp, restorations, 
     zu_full = np.zeros(fn.n_full)
     zl_full[fn.free] = zl
     zu_full[fn.free] = zu
-    if fn.any_frozen:
+    if np.any(fn.frozen):
         # recover net bound multipliers of pinned variables from stationarity
         g_full = fn.grad_full(x) + (fn.jac_full(x).T @ lam if fn.m else 0.0)
         gz = g_full[fn.frozen]

@@ -44,17 +44,17 @@ class InjectionModel:
         tr, ti = t.real, t.imag
         p = tr.sum(axis=1)
         q = ti.sum(axis=1)
-        rd, sd = tr.diagonal(), ti.diagonal()
-        d = slice(None, None, self.n + 1)  # the diagonal of a flattened (n, n) array
+        rd = np.diag(tr)
+        sd = np.diag(ti)
 
         dp_dth = ti.copy()
-        dp_dth.reshape(-1)[d] = -q + sd
+        np.fill_diagonal(dp_dth, -q + sd)
         dq_dth = -tr
-        dq_dth.reshape(-1)[d] = p - rd
+        np.fill_diagonal(dq_dth, p - rd)
         dp_dv = tr / v[None, :]
-        dp_dv.reshape(-1)[d] = (p + rd) / v
+        np.fill_diagonal(dp_dv, (p + rd) / v)
         dq_dv = ti / v[None, :]
-        dq_dv.reshape(-1)[d] = (q + sd) / v
+        np.fill_diagonal(dq_dv, (q + sd) / v)
         return dp_dth, dp_dv, dq_dth, dq_dv
 
     def hessian_weighted(self, v, theta, mu, nu):
@@ -65,25 +65,21 @@ class InjectionModel:
         [[h_thth, h_vth.T], [h_vth, h_vv]].
         """
         t = self._t(v, theta)
-        tr, ti = t.real, t.imag
-        d = slice(None, None, self.n + 1)
+        tr, ti = t.real.copy(), t.imag.copy()
+        rd = np.diag(tr).copy()
+        sd = np.diag(ti).copy()
+        np.fill_diagonal(tr, 0.0)
+        np.fill_diagonal(ti, 0.0)
         mu = np.asarray(mu, dtype=float)
         nu = np.asarray(nu, dtype=float)
 
-        # the off-diagonal parts of T weighted by row; the diagonals hold what
-        # the same sums give on a zeroed diagonal of T
         a = mu[:, None] * tr + nu[:, None] * ti
-        a.reshape(-1)[d] = mu * 0.0 + nu * 0.0
         a_sym = a + a.T
-        h_vv = a_sym + 0.0
-        h_vv.reshape(-1)[d] = a_sym.diagonal() + 2.0 * (mu * tr.diagonal() + nu * ti.diagonal())
-        h_vv /= np.outer(v, v)
-        h_thth = a_sym
-        h_thth.reshape(-1)[d] -= a_sym.sum(axis=1)
+        h_thth = a_sym - np.diag(a_sym.sum(axis=1))
 
-        m = mu[:, None] * ti - nu[:, None] * tr
-        m.reshape(-1)[d] = mu * 0.0 - nu * 0.0
-        m = m - m.T
-        m.reshape(-1)[d] -= m.sum(axis=1)
-        h_vth = m / v[:, None]
+        h_vv = (a_sym + 2.0 * np.diag(mu * rd + nu * sd)) / np.outer(v, v)
+
+        c = mu[:, None] * ti - nu[:, None] * tr
+        m = c - c.T
+        h_vth = (m - np.diag(m.sum(axis=1))) / v[:, None]
         return h_thth, h_vth, h_vv

@@ -4,11 +4,11 @@ import pytest
 from gridcap.powerflow import InjectionModel
 
 
-def random_model(seed, n=5):
+def random_model(seed, n=5, order="C"):
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(n, n))
     b = rng.normal(size=(n, n))
-    return InjectionModel(g + g.T, b + b.T), rng
+    return InjectionModel(np.asarray(g + g.T, order=order), np.asarray(b + b.T, order=order)), rng
 
 
 def random_state(rng, n):
@@ -44,7 +44,10 @@ def test_zero_flow_at_flat_state_without_shunts():
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
 def test_jacobian_matches_finite_differences(seed):
-    m, rng = random_model(seed)
+    check_jacobian(*random_model(seed))
+
+
+def check_jacobian(m, rng):
     v, th = random_state(rng, m.n)
     dp_dth, dp_dv, dq_dth, dq_dv = m.jacobian(v, th)
     eps = 1e-6
@@ -66,7 +69,10 @@ def test_jacobian_matches_finite_differences(seed):
 
 @pytest.mark.parametrize("seed", [0, 3])
 def test_weighted_hessian_matches_gradient_differences(seed):
-    m, rng = random_model(seed)
+    check_weighted_hessian(*random_model(seed))
+
+
+def check_weighted_hessian(m, rng):
     v, th = random_state(rng, m.n)
     mu = rng.normal(size=m.n)
     nu = rng.normal(size=m.n)
@@ -91,6 +97,13 @@ def test_weighted_hessian_matches_gradient_differences(seed):
         _, gvp2 = weighted_grad(vp, th)
         _, gvm2 = weighted_grad(vm, th)
         np.testing.assert_allclose((gvp2 - gvm2) / (2 * eps), h_vv[:, k], atol=5e-5)
+
+
+def test_fortran_ordered_admittance_matches_finite_differences():
+    # the derivative diagonals are written in place, which must hold for any
+    # memory order of the arrays built from g and b
+    check_jacobian(*random_model(5, order="F"))
+    check_weighted_hessian(*random_model(5, order="F"))
 
 
 def test_uniform_angle_shift_leaves_injections_unchanged():
