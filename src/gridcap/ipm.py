@@ -5,9 +5,11 @@ Handles problems of the form
     minimize f(x)   subject to  c(x) = 0,  l <= x <= u,
 
 with logarithmic barriers on the bounds, Newton steps on the perturbed KKT
-system, fraction-to-boundary stepping, an l1-penalty line search and a
-Gauss-Newton feasibility-restoration fallback. Multipliers for the
-equalities (lam) and bounds (z_lower / z_upper) are first-class outputs.
+system, fraction-to-boundary stepping, an l1-penalty line search and, where
+that fails away from feasibility, an elastic restoration by the same loop:
+min ||c(x)||_1 over the box, which either restores feasibility or certifies
+local infeasibility. Multipliers for the equalities (lam) and bounds
+(z_lower / z_upper) are first-class outputs.
 
 The barrier parameter is adaptive: each iteration re-centers at
 mu = sigma * (average complementarity gap), so mu tracks the actual
@@ -43,9 +45,6 @@ _SIGMA = 0.1  # centering: mu = sigma * complementarity gap / #bounds
 _TAU_MIN = 0.99
 _ARMIJO_ETA = 1e-4
 _MAX_BACKTRACKS = 30
-_MAX_RESTORATIONS = 3
-_RESTORATION_STALL_ITERS = 20  # stall window before declaring infeasible
-_RESTORATION_STALL_VIOL = 1e-4  # p.u. violation threshold for infeasibility
 _BOUND_PUSH = 1e-2
 # A warm start is a nearby solution: start close to it, near the end of the
 # central path, keeping its bound multipliers (Yildirim & Wright, SIAM J.
@@ -323,73 +322,48 @@ def _kkt_errors(fn: _Funcs, pt: _Point, lam, zl, zu, mu):
     return stat, pt.viol, _comp_error(fn, pt, zl, zu, mu)
 
 
-def _restore(fn: _Funcs, barrier: _Barrier, pt: _Point, opts: IpmOptions, budget: int):
-    """Feasibility restoration: minimize 0.5*||c||^2 inside the bounds, from pt.
+def _restore(fn: _Funcs, pt: _Point, mu: float, opts: IpmOptions, budget: int):
+    """Elastic feasibility restoration (Waechter & Biegler, Math. Prog. 106,
+    2006, sec. 3.3): from x_r = pt.x, solve
 
-    Returns (x, feasible: bool, stalled_infeasible: bool, iters_used).
+        min  sum(p + n) + (zeta/2) ||D (x - x_r)||^2
+        s.t. c(x) - p + n = 0,  l <= x <= u,  p, n >= 0
+
+    with zeta = sqrt(max(mu, ||c(x_r)||_inf)) and D = diag(min(1, 1/|x_r|)),
+    by the same interior-point loop, started cold from x_r, p = max(c, 0) and
+    n = max(-c, 0), with no restoration of its own. The problem is always
+    feasible; at its KKT point x is first-order stationary for ||c(x)||_1
+    over the box, up to the proximity term. It stops at a tenth of tol_feas
+    in feasibility and complementarity, so that where the l1 minimum is zero
+    p and n end well below tol_feas.
+
+    Returns (x, status, iterations) of the elastic solve.
     """
-    mu = 1e-4
-    nu = 0.0
-    best = pt.viol
-    stall = 0
-    target = max(opts.tol_feas, 1e-9)
-    it = 0
-    while it < budget:
-        it += 1
-        x, c, viol = pt.x, pt.c, pt.viol
-        if viol < best * (1.0 - 1e-6):
-            best = viol
-            stall = 0
-        else:
-            stall += 1
-        if viol <= target:
-            return x, True, False, it
-        if stall >= _RESTORATION_STALL_ITERS:
-            return x, False, best > _RESTORATION_STALL_VIOL, it
-
-        jac = pt.J
-        sl, su = pt.slacks
-        sigma = np.zeros(fn.n)
-        sigma[fn.lb] += mu / sl**2
-        sigma[fn.ub] += mu / su**2
-        grad = jac.T @ c + barrier.grad(x, mu)
-        h = jac.T @ jac + np.diag(sigma)
-
-        dx = None
-        damping = nu
-        for _ in range(12):
-            try:
-                dx = np.linalg.solve(h + damping * np.eye(fn.n), -grad)
-                break
-            except np.linalg.LinAlgError:
-                damping = max(damping * 10.0, 1e-10)
-        if dx is None:
-            return x, False, best > _RESTORATION_STALL_VIOL, it
-        nu = damping
-
-        tau = max(_TAU_MIN, 1.0 - mu)
-        alpha = min(1.0, _max_step(fn, x, dx, tau))
-        theta0 = 0.5 * float(c @ c) + barrier.value(x, mu)
-        slope = float(grad @ dx)
-        accepted = False
-        for _ in range(_MAX_BACKTRACKS):
-            trial = _Point(fn, x + alpha * dx)
-            ct = trial.c
-            theta_t = 0.5 * float(ct @ ct) + barrier.value(trial.x, mu)
-            if theta_t <= theta0 + _ARMIJO_ETA * alpha * slope:
-                accepted = True
-                break
-            alpha *= 0.5
-        if not accepted:
-            stall += 1
-            mu *= 0.1
-            if mu < 1e-12:
-                return x, False, best > _RESTORATION_STALL_VIOL, it
-            continue
-        pt = trial
-        if float(np.abs(grad).max(initial=0.0)) < 10.0 * mu:
-            mu = max(mu * 0.1, 1e-12)
-    return pt.x, best <= target, False, it
+    n, m = fn.n, fn.m
+    x_r, c_r = pt.x, pt.c
+    d2 = np.sqrt(max(mu, pt.viol)) / np.maximum(1.0, np.abs(x_r)) ** 2
+    eye = np.eye(m)
+    zeros = np.zeros((2 * m, 2 * m))
+    y0 = np.concatenate([x_r, np.maximum(c_r, 0.0), np.maximum(-c_r, 0.0)])
+    elastic = _Funcs(
+        NlpProblem(
+            x0=y0,
+            lower=np.concatenate([fn.lower, np.zeros(2 * m)]),
+            upper=np.concatenate([fn.upper, np.full(2 * m, np.inf)]),
+            n_eq=m,
+            objective=lambda y: float(y[n:].sum()) + 0.5 * float(d2 @ (y[:n] - x_r) ** 2),
+            gradient=lambda y: np.concatenate([d2 * (y[:n] - x_r), np.ones(2 * m)]),
+            constraints=lambda y: fn.c(y[:n]) - y[n : n + m] + y[n + m :],
+            jacobian=lambda y: np.hstack([fn.jac(y[:n]), -eye, eye]),
+            hess_lag=lambda y, lam, sigma: scipy.linalg.block_diag(
+                fn.hess(y[:n], lam, 0.0) + np.diag(sigma * d2), zeros
+            ),
+        )
+    )
+    tight = 0.1 * opts.tol_feas
+    eopts = IpmOptions(opts.tol_stat, tight, min(opts.tol_comp, tight), budget)
+    y, _, _, _, status, it, *_ = _ipm(elastic, eopts, y0, None, elastic=True)
+    return y[:n], status, it
 
 
 def solve_nlp(prob: NlpProblem, opts: IpmOptions = None, warm=None) -> IpmResult:
@@ -403,29 +377,49 @@ def solve_nlp(prob: NlpProblem, opts: IpmOptions = None, warm=None) -> IpmResult
     _MU_INIT / slack. Either way the first iteration's mu is _SIGMA times
     the mean multiplier-slack product: 0.01 cold, at least 1e-7 warm and
     more where the carried multipliers times the new slacks are larger.
+
+    When the line search fails away from feasibility, _restore solves the
+    elastic l1 problem. If it reaches tol_feas the solve resumes, cold, from
+    its x. If it converges above tol_feas the status is "infeasible", and the
+    result is the elastic point itself, with its l1-minimal violation and no
+    multipliers (all zero). If it runs out of iterations the status is
+    "max_iter".
     """
-    opts = opts or IpmOptions()
     fn = _Funcs(prob)
+    if warm is not None:
+        lam, z_lower, z_upper = (np.asarray(a, dtype=float) for a in warm)
+        warm = (lam, z_lower[fn.free], z_upper[fn.free])
+    x0 = np.asarray(prob.x0, dtype=float)[fn.free]
+    return _result(fn, *_ipm(fn, opts or IpmOptions(), x0, warm))
+
+
+def _ipm(fn: _Funcs, opts: IpmOptions, x0, warm, elastic=False):
+    """The interior-point loop on fn's free variables, from x0 and warm
+    (None, or (lam, z_lower, z_upper) on the free variables). Returns
+    _result's arguments after fn. The elastic solve itself (elastic=True)
+    ends at a line-search failure instead of restoring."""
     barrier = _Barrier(fn)
     lb, ub = fn.lb, fn.ub
     m, n = fn.m, fn.n
 
-    if warm is None:
-        push, mu = _BOUND_PUSH, _MU_INIT
-        warm = (np.zeros(m), np.zeros(fn.n_full), np.zeros(fn.n_full))
-    else:
-        push, mu = _WARM_BOUND_PUSH, _WARM_MU_INIT
-    lam, z_lower, z_upper = (np.array(a, dtype=float) for a in warm)
-    pt = _Point(fn, barrier.interior(np.asarray(prob.x0, dtype=float)[fn.free], push))
-    sl, su = pt.slacks
-    zl, zu = fn.spread(
-        np.maximum(z_lower[fn.free][lb], mu / sl), np.maximum(z_upper[fn.free][ub], mu / su)
-    )
+    def start(x, warm):
+        if warm is None:
+            push, mu = _BOUND_PUSH, _MU_INIT
+            warm = (np.zeros(m), np.zeros(n), np.zeros(n))
+        else:
+            push, mu = _WARM_BOUND_PUSH, _WARM_MU_INIT
+        lam, z_lower, z_upper = warm
+        pt = _Point(fn, barrier.interior(x, push))
+        sl, su = pt.slacks
+        zl, zu = fn.spread(np.maximum(z_lower[lb], mu / sl), np.maximum(z_upper[ub], mu / su))
+        return pt, lam, zl, zu, mu
 
+    pt, lam, zl, zu, mu = start(x0, warm)
     rho = 1.0
     it = 0
     restorations = 0
     need_restore = False
+    message = "iteration limit reached"
     best = None  # (point, lam, zl, zu) of least violation, then least f
 
     def remember():
@@ -439,18 +433,13 @@ def solve_nlp(prob: NlpProblem, opts: IpmOptions = None, warm=None) -> IpmResult
 
     def finish(status, message="", errors=None):
         stat, feas, comp = errors or _kkt_errors(fn, pt, lam, zl, zu, 0.0)
-        return _result(
-            fn, pt.x, lam, zl, zu, status, it, mu, stat, feas, comp, restorations, message
-        )
+        return pt.x, lam, zl, zu, status, it, mu, stat, feas, comp, restorations, message
 
     remember()
 
     while it < opts.max_iter:
         if need_restore:
-            if restorations >= _MAX_RESTORATIONS:
-                status = "infeasible" if pt.viol > _RESTORATION_STALL_VIOL else "max_iter"
-                return finish(status, "restoration budget exhausted")
-            restorations += 1
+            need_restore = False
             if pt.viol <= max(opts.tol_feas, 1e-9):
                 # already feasible: the line search deadlocked, so recenter the
                 # duals and continue instead of running a full restoration
@@ -458,22 +447,22 @@ def solve_nlp(prob: NlpProblem, opts: IpmOptions = None, warm=None) -> IpmResult
                 mu = max(mu * 10.0, 1e-6)
                 zl, zu = fn.spread(mu / sl, mu / su)
                 rho = 1.0
-                need_restore = False
                 continue
-            x, feasible, hopeless, used = _restore(
-                fn, barrier, pt, opts, budget=opts.max_iter - it
-            )
+            if elastic or not np.isfinite(pt.viol):
+                message = "line search failed"
+                break  # no nested restoration, and no elastic problem at a non-finite c
+            restorations += 1
+            x, status, used = _restore(fn, pt, mu, opts, opts.max_iter - it)
             it += used
-            pt = _Point(fn, barrier.interior(x))
-            sl, su = pt.slacks
-            mu = max(mu, 1e-3)
-            lam = np.zeros(m)
-            zl, zu = fn.spread(mu / sl, mu / su)
-            rho = 1.0
+            pt, lam, zl, zu = _Point(fn, x), np.zeros(m), np.zeros(n), np.zeros(n)
             remember()
-            if hopeless:
-                return finish("infeasible", "restoration stalled above violation threshold")
-            need_restore = False
+            if status != "optimal":
+                message = "elastic restoration did not converge"
+                break
+            if pt.viol > opts.tol_feas:
+                return finish("infeasible", "elastic restoration converged above tol_feas")
+            pt, lam, zl, zu, mu = start(x, None)
+            rho = 1.0
             continue
 
         stat, feas, comp0 = _kkt_errors(fn, pt, lam, zl, zu, 0.0)
@@ -605,9 +594,9 @@ def solve_nlp(prob: NlpProblem, opts: IpmOptions = None, warm=None) -> IpmResult
         )
         remember()
 
-    # iteration budget exhausted: report the best point seen
+    # iteration budget exhausted, or restoration failed: report the best point seen
     pt, lam, zl, zu = best
-    return finish("max_iter", "iteration limit reached")
+    return finish("max_iter", message)
 
 
 def _result(fn, x, lam, zl, zu, status, it, mu, stat, feas, comp, restorations, message):

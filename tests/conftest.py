@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from gridcap.acopf import OpfProblem, Objective, SolverOptions
 from gridcap.fixtures import load_fixture
 from gridcap.study import run_four_case_study
+
+# Property tests draw the same examples on every run and keep no example
+# database, so the suite's outcome does not depend on earlier runs.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,31 @@ class TestResiduals:
         with pytest.raises(ValidationError, match="dimension"):
             base_problem.residuals(np.ones(3), np.zeros(3), np.zeros(1), np.zeros(1))
 
+    def test_generator_count_mismatch_rejected(self, base_problem):
+        with pytest.raises(ValidationError, match="generator set-points"):
+            base_problem.residuals(np.ones(2), np.zeros(2), np.zeros(2), np.zeros(2))
+
+    def test_shed_vector_full_length_or_compact(self, two_bus):
+        net, _ = two_bus
+        prob = OpfProblem(
+            network=net,
+            p_d=np.array([0.0, 4.0]),
+            q_d=np.array([0.0, 1.5]),
+            objective=Objective.OPTIMAL_LOAD_DELIVERY,
+        )
+        assert prob.ns == 1 and prob.n == 2  # only bus 2 can shed
+        state = (np.ones(2), np.zeros(2), np.array([2.0]), np.array([0.7]))
+        compact = prob.residuals(*state, shed=np.array([0.5]))
+        full = prob.residuals(*state, shed=np.array([0.0, 0.5]))
+        unshed = prob.residuals(*state)
+        for a, b in zip(compact, full):
+            assert np.array_equal(a, b)
+        # half of bus 2's 0.4 p.u. load and 0.15 p.u. Q is no longer drawn
+        np.testing.assert_allclose(compact[0] - unshed[0], [0.0, 0.2], atol=1e-15)
+        np.testing.assert_allclose(compact[1] - unshed[1], [0.0, 0.075], atol=1e-15)
+        with pytest.raises(ValidationError, match="shed vector"):
+            prob.residuals(*state, shed=np.zeros(3))
+
 
 class TestObjectiveCost:
     def test_linear_cost(self, two_bus):
@@ -216,6 +243,13 @@ class TestSolve:
         sol2 = solve(base_problem)
         with pytest.raises(ValidationError):
             solve(hour_problem(net5, demand5, 0), warm_start=sol2)
+
+    def test_warm_start_from_another_generator_set_rejected(self, two_bus, base_problem):
+        net, _ = two_bus
+        twin = dataclasses.replace(net, generators=net.generators * 2)  # same island
+        prob = OpfProblem(network=twin, p_d=base_problem.p_d, q_d=base_problem.q_d)
+        with pytest.raises(ValidationError, match="generator set"):
+            solve(prob, warm_start=solve(base_problem))
 
     @pytest.mark.parametrize("objective", [Objective.ECONOMIC, Objective.OPTIMAL_LOAD_DELIVERY])
     @pytest.mark.parametrize("hour", [0, 7, 19, 30])
@@ -353,3 +387,37 @@ class TestProblemValidation:
         net, _ = two_bus
         with pytest.raises(ValidationError):
             OpfProblem(network=net, p_d=np.zeros(3), q_d=np.zeros(3))
+
+    def test_demand_keyed_by_bus_id(self, two_bus, base_problem):
+        net, _ = two_bus
+        prob = OpfProblem(network=net, p_d={2: 4.0}, q_d={2: 1.5})
+        assert np.array_equal(prob.p_d, base_problem.p_d)
+        assert np.array_equal(prob.q_d, base_problem.q_d)
+        with pytest.raises(ValidationError, match="unknown bus"):
+            OpfProblem(network=net, p_d={3: 1.0}, q_d=np.zeros(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_demand_rejected(self, two_bus, bad):
+        net, _ = two_bus
+        with pytest.raises(ValidationError, match="finite"):
+            OpfProblem(network=net, p_d=np.array([0.0, bad]), q_d=np.zeros(2))
+        with pytest.raises(ValidationError, match="finite"):
+            OpfProblem(network=net, p_d=np.zeros(2), q_d=np.array([0.0, bad]))
+
+    def test_v_min_override_above_v_max_rejected(self, two_bus):
+        net, _ = two_bus
+        with pytest.raises(ValidationError, match="v_min override"):
+            OpfProblem(network=net, p_d=np.zeros(2), q_d=np.zeros(2), v_min=np.array([1.06, 0.95]))
+
+    @pytest.mark.parametrize("dt", [0.0, -1.0])
+    def test_non_positive_dt_rejected(self, two_bus, dt):
+        net, _ = two_bus
+        with pytest.raises(ValidationError, match="dt"):
+            OpfProblem(network=net, p_d=np.zeros(2), q_d=np.zeros(2), dt=dt)
+
+    def test_network_without_generators_rejected(self, two_bus):
+        net, _ = two_bus
+        with pytest.raises(ValidationError, match="no generators"):
+            OpfProblem(
+                network=dataclasses.replace(net, generators=()), p_d=np.zeros(2), q_d=np.zeros(2)
+            )

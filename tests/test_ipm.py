@@ -13,6 +13,8 @@ from gridcap.ipm import (
     _Funcs,
     _inertia,
     _max_step,
+    _Point,
+    _restore,
     _solve_kkt,
     solve_nlp,
 )
@@ -95,7 +97,64 @@ def test_infeasible_box_detected():
     )
     r = solve_nlp(prob)
     assert r.status == "infeasible"
-    assert r.feas_err > 1.0
+    # the certificate: the elastic point minimizes |x - 3| over [0, 1], and
+    # it is reported as it is, with no push back inside the box
+    assert r.x[0] == pytest.approx(1.0, abs=1e-6)
+    assert r.feas_err == pytest.approx(2.0, abs=1e-6)
+
+
+def test_restore_reaches_feasibility():
+    # from (0.3, 0.4), well inside the circle x^2 + y^2 = 2, the elastic
+    # solve must end on it, whatever the barrier parameter it is handed
+    fn = _Funcs(nonconvex_problem())
+    opts = IpmOptions()
+    for mu in (1e-1, 1e-8):
+        x, status, used = _restore(fn, _Point(fn, np.array([0.3, 0.4])), mu, opts, 50)
+        assert status == "optimal" and used < 50
+        assert _Point(fn, x).viol <= opts.tol_feas
+
+
+def test_solve_resumes_after_a_successful_restoration(monkeypatch):
+    # every Newton step of the main loop fails until the elastic solve (which
+    # has two more variables) has run, so the solve must restore feasibility
+    # and then go on to the optimum
+    real_solve_kkt = ipm._solve_kkt
+    sizes = []
+
+    def failing_until_restored(kkt, rhs, n, m):
+        sizes.append(n)
+        if n == 2 and 4 not in sizes:
+            raise np.linalg.LinAlgError("kkt matrix has 1 zero eigenvalues")
+        return real_solve_kkt(kkt, rhs, n, m)
+
+    monkeypatch.setattr(ipm, "_solve_kkt", failing_until_restored)
+    r = solve_nlp(dataclasses.replace(nonconvex_problem(), x0=np.array([0.3, 0.4])))
+    assert 4 in sizes
+    assert r.status == "optimal" and r.restorations == 1
+    np.testing.assert_allclose(r.x, [1.0, 1.0], atol=1e-6)
+
+
+def test_non_finite_start_ends_without_raising():
+    # c = log(x0) - x1 is NaN at x0 = -1: there is no elastic problem to
+    # solve from there, so the solve ends with its best point
+    def log_constraint(x):
+        with np.errstate(invalid="ignore"):
+            return np.array([np.log(x[0]) - x[1]])
+
+    prob = NlpProblem(
+        x0=np.array([-1.0, 0.5]),
+        lower=np.full(2, -np.inf),
+        upper=np.full(2, np.inf),
+        n_eq=1,
+        objective=lambda x: float(x @ x),
+        gradient=lambda x: 2 * x,
+        constraints=log_constraint,
+        jacobian=lambda x: np.array([[1.0 / x[0], -1.0]]),
+        hess_lag=lambda x, lam, s: 2.0 * s * np.eye(2) - lam[0] * np.diag([x[0] ** -2, 0.0]),
+    )
+    r = solve_nlp(prob, IpmOptions(max_iter=50))
+    assert r.status == "max_iter" and r.restorations == 0
+    np.testing.assert_array_equal(r.x, [-1.0, 0.5])
 
 
 def test_frozen_variable_eliminated_and_multiplier_recovered():

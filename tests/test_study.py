@@ -49,6 +49,10 @@ def assert_chained_matches_cold(scenario, net, demand, monkeypatch):
         assert outcome.solution.objective_value == pytest.approx(
             cold.objective_value, rel=1e-6
         )
+        if cold.status is not acopf.OpfStatus.OPTIMAL:
+            # a failed hour reports the l1-minimal imbalance of its elastic
+            # point, which must not depend on where the hour started
+            assert outcome.solution.max_mismatch == pytest.approx(cold.max_mismatch, rel=0.01)
     return chained
 
 
@@ -122,6 +126,19 @@ class TestRunCase:
         if case == 3:
             assert any(o.solution.mu_shed_min.any() for o in chained.hours if o.valid)
             assert chained.load_shed > 0.0
+
+    def test_warm_start_equivalence_in_infeasible_hours(self, microgrid9, monkeypatch):
+        net, demand = microgrid9
+        scenario = Scenario(
+            CaseId.VOLTAGE_STRESS, pf_overrides=uniform_stress(net, 0.85, PfSign.LAGGING)
+        )
+        chained = assert_chained_matches_cold(scenario, net, demand, monkeypatch)
+        infeasible = [
+            o.hour for o in chained.hours
+            if o.valid and o.solution.status is acopf.OpfStatus.INFEASIBLE
+        ]
+        assert infeasible == [10, 11, 12, 13, 14, 15, 34, 35, 36, 37, 38]
+        assert chained.non_optimal_hours == len(infeasible)
 
     def test_one_nlp_solve_per_valid_hour(self, microgrid9, monkeypatch):
         net, demand = microgrid9
