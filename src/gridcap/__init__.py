@@ -9,6 +9,7 @@ from .acopf import (
     OpfProblem,
     OpfSolution,
     OpfStatus,
+    OpfStructure,
     SolverOptions,
     kkt_report,
     objective_cost,

@@ -47,13 +47,8 @@ def _version_string() -> str:
 
 def _add_solver_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", help="solver config file (key = value lines)")
-    p.add_argument("--feas-tol", type=float, dest="feas_tol")
-    p.add_argument("--kkt-tol", type=float, dest="kkt_tol")
-    p.add_argument("--comp-tol", type=float, dest="comp_tol")
-    p.add_argument("--max-iter", type=int, dest="max_iter")
-    p.add_argument("--voll-rate", type=float, dest="voll_rate")
-    p.add_argument("--eps-pg", type=float, dest="eps_pg")
-    p.add_argument("--eps-loss", type=float, dest="eps_loss")
+    for f in fields(SolverOptions):  # one flag per field, typed like its default
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), dest=f.name)
 
 
 def _solver_options(args) -> SolverOptions:

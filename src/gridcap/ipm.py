@@ -384,6 +384,10 @@ def solve_nlp(prob: NlpProblem, opts: IpmOptions = None, warm=None) -> IpmResult
     result is the elastic point itself, with its l1-minimal violation and no
     multipliers (all zero). If it runs out of iterations the status is
     "max_iter".
+
+    A KKT matrix with a non-finite entry (a NaN or inf Hessian or Jacobian
+    at a finite point) ends the solve at once with status "max_iter",
+    message "non-finite KKT matrix" and the best point seen.
     """
     fn = _Funcs(prob)
     if warm is not None:
@@ -504,7 +508,7 @@ def _ipm(fn: _Funcs, opts: IpmOptions, x0, warm, elastic=False):
         w_sig = w.diagonal() + sig
         scale = max(1.0, float(np.abs(w).max(initial=0.0)))
         delta_w, delta_c = 0.0, 0.0
-        step = None
+        step, finite = None, True
         for _ in range(14):
             diag[:n] = w_sig + delta_w
             diag[n:] = -delta_c
@@ -514,11 +518,17 @@ def _ipm(fn: _Funcs, opts: IpmOptions, x0, warm, elastic=False):
                 break
             except np.linalg.LinAlgError as exc:
                 saw_zero = "zero" in str(exc)
+            except ValueError:
+                finite = False  # no regularization makes a NaN or inf entry finite
+                break
             if saw_zero and m:
                 delta_c = max(delta_c * 100.0, 1e-8)
             delta_w = 1e-8 * scale if delta_w == 0.0 else delta_w * 100.0
             if delta_w > 1e12 * scale:
                 break
+        if not finite:
+            message = "non-finite KKT matrix"
+            break
         if step is None:
             need_restore = True
             continue
@@ -594,7 +604,8 @@ def _ipm(fn: _Funcs, opts: IpmOptions, x0, warm, elastic=False):
         )
         remember()
 
-    # iteration budget exhausted, or restoration failed: report the best point seen
+    # iteration budget exhausted, restoration failed or a KKT matrix was not
+    # finite: report the best point seen
     pt, lam, zl, zu = best
     return finish("max_iter", message)
 

@@ -17,7 +17,7 @@ changes between the two perturbed solves.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -173,41 +173,23 @@ def _binding_signature(problem: OpfProblem, solution: OpfSolution, tol: float = 
     sig.append(pg - problem.pg_min < tol)
     sig.append(problem.qg_max - qg < tol)
     sig.append(qg - problem.qg_min < tol)
-    if problem.ns:
-        sh = solution.shed[problem.shed_pos]
-        sig.append(sh < tol)
-        sig.append(1.0 - sh < tol)
+    sh = solution.shed[problem.shed_pos]
+    sig.append(sh < tol)
+    sig.append(1.0 - sh < tol)
     return np.concatenate(sig)
 
 
-def clone_problem(problem: OpfProblem, **kw) -> OpfProblem:
-    """Copy of a problem with selected fields replaced."""
-    base = dict(
-        network=problem.network,
-        p_d=problem.p_d.copy(),
-        q_d=problem.q_d.copy(),
-        p_inj=problem.p_inj.copy(),
-        q_inj=problem.q_inj.copy(),
-        objective=problem.objective,
-        options=problem.options,
-        v_min=problem.v_min.copy(),
-        v_max=problem.v_max.copy(),
-        dt=problem.dt,
-    )
-    base.update(kw)
-    return OpfProblem(**base)
-
-
 def _perturbed(problem: OpfProblem, bus_id: int, quantity: FdQuantity, delta_pu: float) -> OpfProblem:
+    """problem's hour with one entry moved, bound to the same structure."""
     net = problem.network
     i = net.bus_index(bus_id)
     if quantity is FdQuantity.QD:
         q_d = problem.q_d.copy()
         q_d[i] += delta_pu * net.s_base
-        return clone_problem(problem, q_d=q_d)
+        return replace(problem, q_d=q_d)
     v_max = problem.v_max.copy()
     v_max[i] += delta_pu
-    return clone_problem(problem, v_max=v_max)
+    return replace(problem, v_max=v_max)
 
 
 def fd_oracle(problem: OpfProblem, bus_id: int, quantity: FdQuantity, eps: float = 1e-3) -> FdResult:

@@ -4,11 +4,15 @@ Case 1 dispatches economically at nominal PV power factors; Case 2 reruns
 it with stressed power factors (exposing reactive-support scarcity);
 Case 3 answers the stress with optimal load delivery (corrective
 shedding); Case 4 answers it with shunt capacitors at the top-ranked buses
-and reruns the economic objective. Hours are solved in sequence, each
-warm-started from the previous optimal hour's whole primal-dual point
-(voltages, dispatch, shed fractions, balance and bound multipliers) with one
-solve and no cold fallback; hours flagged invalid in the demand series are
-skipped and reported separately.
+and reruns the economic objective. Each case builds one OpfStructure
+(island, layout, generator data, bounds; under OLD a shed variable at each
+bus loaded in some valid hour) and binds each hour's demand, PV injection
+and dt to it as data. Hours are solved in sequence, each warm-started from
+the previous optimal hour's whole primal-dual point (voltages, dispatch,
+shed fractions, balance and bound multipliers) with one solve and no cold
+fallback; hours flagged invalid in the demand series are skipped and
+reported separately. The study warns when the hours Case 2 cannot serve
+are not the hours Case 3 sheds in.
 """
 
 from __future__ import annotations
@@ -18,7 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .acopf import Objective, OpfProblem, OpfSolution, OpfStatus, SolverOptions, solve
+from .acopf import (Objective, OpfProblem, OpfSolution, OpfStatus, OpfStructure,
+                    SolverOptions, solve)
 from .model import (
     DemandSeries,
     Network,
@@ -35,6 +40,9 @@ from .sensitivity import (
     cross_case_rank_table,
     extract,
 )
+
+
+SHED_MW = 1e-4  # an hour whose optimal shed exceeds this many MW is a shedding hour
 
 
 class CaseId(enum.Enum):
@@ -148,9 +156,11 @@ def _hour_injections(net: Network, hour: int, pf_overrides) -> tuple:
 
 
 def run_case(scenario: Scenario, network: Network, demand: DemandSeries) -> CaseResult:
-    """Solve one case hour by hour and aggregate. Each valid hour is one
-    solve, warm-started from the previous optimal hour's primal-dual point
-    (flat before the first); a non-optimal hour is reported as it ended."""
+    """Solve one case hour by hour and aggregate. The case's OpfStructure is
+    built once, its shed layout from all valid hours, and each valid hour is
+    bound to it as data. Each valid hour is one solve, warm-started from the
+    previous optimal hour's primal-dual point (flat before the first); a
+    non-optimal hour is reported as it ended."""
     net = network.with_shunts(scenario.capacitors) if scenario.capacitors else network
     horizon = demand.horizon
     for pv in net.pv_units:
@@ -160,7 +170,11 @@ def run_case(scenario: Scenario, network: Network, demand: DemandSeries) -> Case
                 f"demand horizon is {horizon}"
             )
     valid = set(demand.valid_hours)
-    dcols = [demand.bus_column(b) if b in demand.bus_ids else None for b in net.bus_ids]
+    on = [b in demand.bus_ids for b in net.bus_ids]
+    cols = [demand.bus_column(b) for b in net.bus_ids if b in demand.bus_ids]
+    p_d, q_d = np.zeros((2, horizon, net.n_bus))
+    p_d[:, on], q_d[:, on] = demand.p_mw[:, cols], demand.q_mvar[:, cols]
+    structure = OpfStructure(net, scenario.objective, p_d[sorted(valid)])
 
     outcomes = []
     sens = []
@@ -170,22 +184,17 @@ def run_case(scenario: Scenario, network: Network, demand: DemandSeries) -> Case
             outcomes.append(HourOutcome(hour=t, valid=False))
             sens.append(None)
             continue
-        p_d = np.array(
-            [demand.p_mw[t, c] if c is not None else 0.0 for c in dcols]
-        )
-        q_d = np.array(
-            [demand.q_mvar[t, c] if c is not None else 0.0 for c in dcols]
-        )
         p_inj, q_inj = _hour_injections(net, t, scenario.pf_overrides)
         problem = OpfProblem(
             network=net,
-            p_d=p_d,
-            q_d=q_d,
+            p_d=p_d[t],
+            q_d=q_d[t],
             p_inj=p_inj,
             q_inj=q_inj,
             objective=scenario.objective,
             options=scenario.options,
             dt=demand.dt,
+            structure=structure,
         )
         sol = solve(problem, warm_start=warm)
         outcomes.append(HourOutcome(hour=t, valid=True, solution=sol))
@@ -309,6 +318,16 @@ def run_four_case_study(
         Scenario(CaseId.VOLTAGE_STRESS, pf_overrides=stress, **common), network, demand
     )
     case3 = run_case(Scenario(CaseId.OLD, pf_overrides=stress, **common), network, demand)
+
+    stressed = [o.hour for o in case2.hours if o.valid and not o.optimal]
+    shedding = [
+        o.hour for o in case3.hours
+        if o.optimal and float((o.solution.shed * o.solution.p_load_mw).sum()) > SHED_MW
+    ]
+    if stressed != shedding:
+        warnings.append(
+            f"case 2 non-optimal hours {stressed} differ from case 3 shedding hours {shedding}"
+        )
 
     ranked = placement_ranking([case1, case2, case3], weights)
     if not ranked:

@@ -2,10 +2,12 @@ import csv
 import filecmp
 import os
 import shutil
+from dataclasses import fields, replace
 
 import pytest
 
-from gridcap.cli import main
+from gridcap.acopf import SolverOptions
+from gridcap.cli import _solver_options, main, make_parser
 from gridcap.fixtures import fixture_path
 from gridcap.reporting import read_rows
 
@@ -209,3 +211,18 @@ def test_version_embeds_tolerance_defaults(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert "feas_tol=1e-06" in out and "max_iter=300" in out
+
+
+@pytest.mark.parametrize("command", ["solve", "study"])
+def test_every_solver_option_has_a_flag(command):
+    # each SolverOptions field parses from its --flag into _solver_options,
+    # so a new field cannot lack one
+    base = ["--network", "n.grid", "--demand", "d.csv", "--out", "out"]
+    for f in fields(SolverOptions):
+        value = f.default * 3 if isinstance(f.default, int) else f.default * 0.5
+        args = make_parser().parse_args(
+            [command, *base, "--" + f.name.replace("_", "-"), str(value)]
+        )
+        options = _solver_options(args)
+        assert getattr(options, f.name) == value
+        assert replace(options, **{f.name: f.default}) == SolverOptions()

@@ -157,6 +157,26 @@ def test_non_finite_start_ends_without_raising():
     np.testing.assert_array_equal(r.x, [-1.0, 0.5])
 
 
+def test_non_finite_kkt_matrix_ends_the_solve():
+    # a NaN Hessian at a finite point: no inertia correction can repair the
+    # KKT matrix, so the solve stops at once with its best (finite) point
+    prob = NlpProblem(
+        x0=np.array([0.5]),
+        lower=np.array([0.0]),
+        upper=np.array([2.0]),
+        n_eq=1,
+        objective=lambda x: float(x[0] ** 2),
+        gradient=lambda x: 2 * x,
+        constraints=lambda x: np.array([x[0] - 1.0]),
+        jacobian=lambda x: np.array([[1.0]]),
+        hess_lag=lambda x, lam, s: np.array([[np.nan]]),
+    )
+    r = solve_nlp(prob, IpmOptions(max_iter=50))
+    assert r.status == "max_iter" and r.message == "non-finite KKT matrix"
+    assert r.iterations == 1 and r.restorations == 0
+    assert np.isfinite(r.x).all() and 0.0 < r.x[0] < 2.0
+
+
 def test_frozen_variable_eliminated_and_multiplier_recovered():
     # x pinned by l = u = 1; stationarity implies z_upper = 4 there
     prob = NlpProblem(

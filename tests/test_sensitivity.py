@@ -20,7 +20,6 @@ from gridcap.sensitivity import (
     ScoreWeights,
     SensitivityRecord,
     aggregate_hours,
-    clone_problem,
     composite_score,
     cross_case_rank_table,
     extract,
@@ -290,10 +289,3 @@ class TestCrossCaseRankTable:
     def test_mismatched_bus_sets_rejected(self):
         with pytest.raises(ValidationError, match="different bus sets"):
             cross_case_rank_table({"a": self.sens([1, 2]), "b": self.sens([1, 3])})
-
-
-def test_clone_problem_is_independent(two_bus):
-    net, _ = two_bus
-    prob = OpfProblem(network=net, p_d=np.array([0.0, 4.0]), q_d=np.array([0.0, 1.5]))
-    clone = clone_problem(prob, q_d=np.array([0.0, 2.0]))
-    assert prob.q_d[1] == 1.5 and clone.q_d[1] == 2.0

@@ -1,8 +1,15 @@
+import dataclasses
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
 import pytest
 
-from gridcap import acopf, study
-from gridcap.model import PfSign, ShuntCapacitor, ValidationError
+from conftest import hour_problem
+from gridcap import acopf, powerflow, study
+from gridcap.model import DemandSeries, PfSign, ShuntCapacitor, ValidationError
 from gridcap.netfile import parse_demand
+from gridcap.sensitivity import FdQuantity, fd_oracle
 from gridcap.study import (
     CaseId,
     Scenario,
@@ -30,9 +37,8 @@ class TestScenarioValidation:
         assert s.objective.value == "old"
 
 
-def assert_chained_matches_cold(scenario, net, demand, monkeypatch):
-    """Run the case chained; each hour must end as a cold solve of the same
-    problem does, with the same objective."""
+def run_recording(scenario, net, demand, monkeypatch):
+    """run_case, plus the OpfProblem of each valid hour in solve order."""
     problems = []
 
     def recording_solve(problem, warm_start=None):
@@ -40,7 +46,13 @@ def assert_chained_matches_cold(scenario, net, demand, monkeypatch):
         return acopf.solve(problem, warm_start=warm_start)
 
     monkeypatch.setattr(study, "solve", recording_solve)
-    chained = run_case(scenario, net, demand)
+    return run_case(scenario, net, demand), problems
+
+
+def assert_chained_matches_cold(scenario, net, demand, monkeypatch):
+    """Run the case chained; each hour must end as a cold solve of the same
+    problem does, with the same objective."""
+    chained, problems = run_recording(scenario, net, demand, monkeypatch)
     valid = [o for o in chained.hours if o.valid]
     assert len(problems) == len(valid) == len(demand.valid_hours)
     for outcome, problem in zip(valid, problems):
@@ -177,6 +189,118 @@ class TestRunCase:
             run_case(Scenario(CaseId.ECONOMIC), net9, demand)
 
 
+HOUR_FIELDS = [f.name for f in dataclasses.fields(acopf.OpfProblem) if f.name != "structure"]
+SOLUTION_ARRAYS = (
+    "v", "theta", "p_g", "q_g", "shed", "lambda_p", "lambda_q", "mu_v_max", "mu_v_min",
+    "mu_pg_max", "mu_pg_min", "mu_qg_max", "mu_qg_min", "mu_shed_max", "mu_shed_min",
+)
+
+
+def standalone(problem):
+    """The same hour as an OpfProblem that builds its own structure."""
+    return acopf.OpfProblem(**{name: getattr(problem, name) for name in HOUR_FIELDS})
+
+
+def assert_same_bits(a, b):
+    assert a.status is b.status and a.iterations == b.iterations
+    for name in SOLUTION_ARRAYS:
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
+    assert a.solver_objective == b.solver_objective
+
+
+class TestCaseStructure:
+    def stressed_old(self, net):
+        return Scenario(CaseId.OLD, pf_overrides=uniform_stress(net, 0.85, PfSign.LAGGING))
+
+    def test_one_structure_per_case_and_none_per_fd_oracle(self, microgrid9, monkeypatch):
+        net, demand = microgrid9
+        builds = []
+        real_init = powerflow.InjectionModel.__init__
+
+        def counting_init(self, *args):
+            builds.append(1)
+            real_init(self, *args)
+
+        monkeypatch.setattr(powerflow.InjectionModel, "__init__", counting_init)
+        for scenario in (Scenario(CaseId.ECONOMIC), self.stressed_old(net)):
+            builds.clear()
+            _, problems = run_recording(scenario, net, demand, monkeypatch)
+            assert len(builds) == 1 and len(problems) == 47
+            assert all(p.structure is problems[0].structure for p in problems)
+        builds.clear()
+        assert fd_oracle(problems[20], 7, FdQuantity.QD).available
+        assert fd_oracle(problems[20], 7, FdQuantity.VMAX).available
+        assert builds == []
+
+    @pytest.mark.parametrize("case", [1, 3])
+    def test_shared_structure_solves_bitwise_like_standalone(self, microgrid9, monkeypatch, case):
+        net, demand = microgrid9
+        scenario = Scenario(CaseId.ECONOMIC) if case == 1 else self.stressed_old(net)
+        _, problems = run_recording(scenario, net, demand, monkeypatch)
+        for problem in problems:
+            alone = standalone(problem)
+            assert alone.structure is not problem.structure
+            assert_same_bits(acopf.solve(problem), acopf.solve(alone))
+        # solving another hour on the structure in between changes nothing
+        a, b = problems[12], problems[30]
+        first = acopf.solve(a)
+        acopf.solve(b, warm_start=first)
+        assert_same_bits(acopf.solve(a), first)
+
+    def test_hours_on_one_structure_solve_concurrently(self, microgrid9, monkeypatch):
+        # threads solving hours bound to one structure, with frequent thread
+        # switches, must give each hour the bits it gets alone
+        net, demand = microgrid9
+        _, problems = run_recording(self.stressed_old(net), net, demand, monkeypatch)
+        hours = problems[8:16] * 2
+        alone = [acopf.solve(p) for p in hours]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(acopf.solve, p) for p in hours]
+                together = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(together, alone):
+            assert_same_bits(a, b)
+
+    def test_hour_without_p_load_pins_its_shed_variable(self, microgrid9, monkeypatch):
+        # bus 7 sheds in hour 15 of Case 3; with its P demand (not Q) zeroed
+        # there, its shed variable is pinned at 0 and scales nothing
+        net, demand = microgrid9
+        hour, bus = 15, 7
+        p_mw = demand.p_mw.copy()
+        p_mw[hour, demand.bus_column(bus)] = 0.0
+        synthetic = DemandSeries(demand.bus_ids, p_mw, demand.q_mvar, demand.dt)
+        result, problems = run_recording(self.stressed_old(net), net, synthetic, monkeypatch)
+        problem = problems[synthetic.valid_hours.index(hour)]
+        k = net.island_bus_ids().index(bus)
+        assert k in problem.structure.shed_pos
+        assert problem.shed_live[list(problem.structure.shed_pos).index(k)] == 0.0
+        sol = result.hours[hour].solution
+        assert sol.status is acopf.OpfStatus.OPTIMAL
+        assert sol.shed[k] == 0.0 and sol.mu_shed_max[k] == 0.0 and sol.mu_shed_min[k] == 0.0
+        assert sol.shed.max() > 1e-2  # another bus sheds instead
+        alone = standalone(problem)
+        assert k not in alone.structure.shed_pos
+        assert acopf.solve(problem).objective_value == pytest.approx(
+            acopf.solve(alone).objective_value, rel=1e-9
+        )
+
+    def test_structure_must_fit_the_hour(self, microgrid9):
+        net, demand = microgrid9
+        econ = hour_problem(net, demand, 12)
+        old = hour_problem(net, demand, 12, acopf.Objective.OPTIMAL_LOAD_DELIVERY)
+        with pytest.raises(ValidationError, match="another network or objective"):
+            dataclasses.replace(old, structure=econ.structure)
+        idle = acopf.OpfStructure(net, acopf.Objective.OPTIMAL_LOAD_DELIVERY, np.zeros(net.n_bus))
+        with pytest.raises(ValidationError, match="no shed variable"):
+            dataclasses.replace(old, structure=idle)
+        with pytest.raises(ValueError):
+            econ.structure.pg_max[0] = 0.0  # read-only: hours may share it
+
+
 class TestFourCaseStudy:
     def test_case_degradation_pattern(self, study9):
         c1, c2, c3, c4 = (study9.case(i) for i in (1, 2, 3, 4))
@@ -223,6 +347,29 @@ class TestFourCaseStudy:
             degradation.append(case.avg_mismatch + case.non_optimal_hours)
         for lo, hi in zip(degradation, degradation[1:]):
             assert hi >= lo - 1e-12
+
+    def test_case2_failures_match_case3_shedding(self, study9):
+        assert not any("case 2 non-optimal hours" in w for w in study9.warnings)
+
+    def test_case2_case3_mismatch_warns(self, microgrid9, monkeypatch):
+        # Case 3 with hour 10 dropped no longer sheds in every hour Case 2 fails
+        net, demand = microgrid9
+        real_run_case = study.run_case
+
+        def run_case_dropping_hour_10(scenario, *args):
+            result = real_run_case(scenario, *args)
+            if scenario.case_id is CaseId.OLD:
+                hours = list(result.hours)
+                hours[10] = study.HourOutcome(hour=10, valid=False)
+                result = dataclasses.replace(result, hours=tuple(hours))
+            return result
+
+        monkeypatch.setattr(study, "run_case", run_case_dropping_hour_10)
+        warnings = run_four_case_study(net, demand).warnings
+        assert (
+            "case 2 non-optimal hours [10, 11, 12, 13, 14, 15, 34, 35, 36, 37, 38] differ "
+            "from case 3 shedding hours [11, 12, 13, 14, 15, 34, 35, 36, 37, 38]"
+        ) in warnings
 
     def test_top_m_clamped_with_warning(self, microgrid9):
         net, demand = microgrid9
