@@ -60,6 +60,20 @@ class SolverOptions:
     eps_pg: float = 1e-3  # total-generation tie-break weight, relative to cost scale
     eps_loss: float = 1e-4  # loss tie-break weight, relative to cost scale
 
+    def __post_init__(self):
+        for names, bound, ok in (
+            (("feas_tol", "kkt_tol", "comp_tol", "voll_rate"), "> 0", lambda v: v > 0.0),
+            (("eps_pg", "eps_loss"), ">= 0", lambda v: v >= 0.0),
+        ):
+            for name in names:
+                value = getattr(self, name)
+                if not (np.isfinite(value) and ok(value)):
+                    raise ValidationError(
+                        f"solver option {name} must be finite and {bound}, got {value}"
+                    )
+        if self.max_iter < 1:
+            raise ValidationError(f"solver option max_iter must be >= 1, got {self.max_iter}")
+
 
 class OpfStructure:
     """The part of an AC-OPF that is the same in every hour of a case
@@ -231,11 +245,18 @@ class OpfProblem:
             raise AttributeError(name)
         return getattr(structure, name)
 
-    def _effective_demand(self, shed):
-        """Per-unit effective (P, Q) demand after shedding and fixed injections."""
-        keep = np.ones(self.structure.n)
-        keep[self.structure.shed_pos] -= shed * self.shed_live
-        return keep * self.p_load - self.p_fix, keep * self.q_load - self.q_fix
+    def _balance(self, v, theta, p_g, q_g, shed):
+        """Per-unit power-balance residuals (dP, dQ) per island bus: generation
+        minus effective demand (after shedding and fixed injections) minus
+        network injection. shed has one entry per shed variable."""
+        st = self.structure
+        keep = np.ones(st.n)
+        keep[st.shed_pos] -= shed * self.shed_live
+        p_eff, q_eff = keep * self.p_load - self.p_fix, keep * self.q_load - self.q_fix
+        p_net, q_net = st.inj_model.injections(v, theta)
+        dp = np.bincount(st.gen_pos, weights=p_g, minlength=st.n) - p_eff - p_net
+        dq = np.bincount(st.gen_pos, weights=q_g, minlength=st.n) - q_eff - q_net
+        return dp, dq
 
     # -- public evaluation ----------------------------------------------------
 
@@ -260,11 +281,7 @@ class OpfProblem:
             shed_v = shed_v[st.shed_pos]
         elif shed_v.shape != (st.ns,):
             raise ValidationError("shed vector has wrong length")
-        p_eff, q_eff = self._effective_demand(shed_v)
-        p_net, q_net = st.inj_model.injections(v, theta)
-        dp = np.bincount(st.gen_pos, weights=p_g, minlength=st.n) - p_eff - p_net
-        dq = np.bincount(st.gen_pos, weights=q_g, minlength=st.n) - q_eff - q_net
-        return dp, dq
+        return self._balance(v, theta, p_g, q_g, shed_v)
 
     def shed_fractions_full(self, shed_vars):
         out = np.zeros(self.structure.n)
@@ -329,6 +346,11 @@ class OpfSolution:
         return float(self.mismatch.max(initial=0.0))
 
     @property
+    def shed_mw(self) -> float:
+        """Load shed in the hour, MW, summed over the island buses."""
+        return float((self.shed * self.p_load_mw).sum())
+
+    @property
     def lambda_p_per_mw(self) -> np.ndarray:
         return self.lambda_p / self.s_base
 
@@ -375,11 +397,7 @@ def _assemble_nlp(problem: OpfProblem, x0, f_scale):
 
     def constraints(x):
         theta, v, pg, qg, sh = st._split(x)
-        p_eff, q_eff = pr._effective_demand(sh)
-        p_net, q_net = st.inj_model.injections(v, theta)
-        cp = np.bincount(st.gen_pos, weights=pg, minlength=n) - p_eff - p_net
-        cq = np.bincount(st.gen_pos, weights=qg, minlength=n) - q_eff - q_net
-        return np.concatenate([cp, cq])
+        return np.concatenate(pr._balance(v, theta, pg, qg, sh))
 
     # generator and shed columns do not depend on x
     jac_fixed = st.jac_gen.copy()

@@ -29,11 +29,15 @@ per iteration; the inertia trials rewrite only its two diagonals.
 A warm start carries a nearby solution's whole primal-dual point: x, lam and
 the bound multipliers, with a small bound push and a small floor on the
 multipliers.
+
+Inside the loop the bound multipliers are compact, like the slacks: one
+entry per finite lower bound (fn.lb) and per finite upper bound (fn.ub).
+solve_nlp returns them full length, zero where a bound is infinite.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -83,6 +87,11 @@ class IpmOptions:
 
 @dataclass
 class IpmResult:
+    """Outcome of one solve. From solve_nlp, x, z_lower and z_upper are full
+    length, with the pinned variables' net bound multipliers recovered from
+    stationarity. _ipm returns x on the free variables and z_lower / z_upper
+    compact on the finite bounds (fn.lb / fn.ub)."""
+
     x: np.ndarray
     lam: np.ndarray
     z_lower: np.ndarray
@@ -132,20 +141,20 @@ class _Funcs:
     def f(self, x):
         return float(self.prob.objective(self.expand(x)))
 
-    def grad(self, x):
-        return np.asarray(self.prob.gradient(self.expand(x)), dtype=float)[self.free]
-
     def grad_full(self, x):
         return np.asarray(self.prob.gradient(self.expand(x)), dtype=float)
+
+    def grad(self, x):
+        return self.grad_full(x)[self.free]
 
     def c(self, x):
         return np.asarray(self.prob.constraints(self.expand(x)), dtype=float)
 
-    def jac(self, x):
-        return np.asarray(self.prob.jacobian(self.expand(x)), dtype=float)[:, self.free]
-
     def jac_full(self, x):
         return np.asarray(self.prob.jacobian(self.expand(x)), dtype=float)
+
+    def jac(self, x):
+        return self.jac_full(x)[:, self.free]
 
     def hess(self, x, lam, sigma):
         h = np.asarray(self.prob.hess_lag(self.expand(x), lam, sigma), dtype=float)
@@ -155,13 +164,42 @@ class _Funcs:
         """(x - l, u - x) on the finite lower and upper bounds."""
         return x[self.lb] - self.lo_b, self.hi_b - x[self.ub]
 
-    def spread(self, on_lb, on_ub):
-        """Full-length (lower, upper) vectors from values on the finite bounds,
-        zero elsewhere."""
-        zl, zu = np.zeros(self.n), np.zeros(self.n)
-        zl[self.lb] = on_lb
-        zu[self.ub] = on_ub
-        return zl, zu
+    def interior(self, x, push=_BOUND_PUSH):
+        """Clip a start point strictly inside the bounds, by push times each
+        box width (times max(1, |bound|) where only one side is finite)."""
+        lo, hi = self.lower, self.upper
+        x = np.asarray(x, dtype=float).copy()
+        both = self.has_lb & self.has_ub
+        if np.any(both):
+            pad = push * (hi[both] - lo[both])
+            x[both] = np.clip(x[both], lo[both] + pad, hi[both] - pad)
+        only_lb = self.has_lb & ~self.has_ub
+        if np.any(only_lb):
+            pad = push * np.maximum(1.0, np.abs(lo[only_lb]))
+            x[only_lb] = np.maximum(x[only_lb], lo[only_lb] + pad)
+        only_ub = self.has_ub & ~self.has_lb
+        if np.any(only_ub):
+            pad = push * np.maximum(1.0, np.abs(hi[only_ub]))
+            x[only_ub] = np.minimum(x[only_ub], hi[only_ub] - pad)
+        return x
+
+    def barrier_value(self, x, mu):
+        sl, su = self.slacks(x)
+        if np.any(sl <= 0.0) or np.any(su <= 0.0):
+            return np.inf  # outside the open box: reject in any merit comparison
+        out = 0.0
+        if sl.size:
+            out -= mu * float(np.log(sl).sum())
+        if su.size:
+            out -= mu * float(np.log(su).sum())
+        return out
+
+    def barrier_grad(self, x, mu):
+        sl, su = self.slacks(x)
+        g = np.zeros_like(x)
+        g[self.lb] -= mu / sl
+        g[self.ub] += mu / su
+        return g
 
 
 class _Point:
@@ -216,20 +254,10 @@ def _inertia(ldu: np.ndarray, ipiv: np.ndarray):
     return pos, neg, diag.size - pos - neg
 
 
-def _max_step(fn: _Funcs, x, dx, tau):
-    """Largest alpha in (0, 1] keeping x + alpha*dx a fraction tau inside the box."""
-    alpha = 1.0
-    lb = fn.lb[dx[fn.lb] < 0.0]
-    if lb.size:
-        alpha = min(alpha, float(np.min(-tau * (x[lb] - fn.lower[lb]) / dx[lb])))
-    ub = fn.ub[dx[fn.ub] > 0.0]
-    if ub.size:
-        alpha = min(alpha, float(np.min(tau * (fn.upper[ub] - x[ub]) / dx[ub])))
-    return max(alpha, 0.0)
-
-
-def _max_step_pos(z, dz, tau):
-    """Fraction-to-boundary step for nonnegativity-constrained multipliers."""
+def _max_step(z, dz, tau):
+    """Largest alpha in [0, 1] keeping z + alpha*dz a fraction tau inside
+    z >= 0: the fraction-to-boundary rule, for the multipliers and, on the
+    slacks (dz = dx[lb] and -dx[ub]), for x."""
     shrink = dz < 0.0
     if not np.any(shrink):
         return 1.0
@@ -265,61 +293,20 @@ def _solve_kkt(kkt, rhs, n, m):
     return d * step
 
 
-class _Barrier:
-    """Interior bookkeeping for one variable box."""
-
-    def __init__(self, funcs: _Funcs):
-        self.fn = funcs
-
-    def interior(self, x, push=_BOUND_PUSH):
-        """Clip a start point strictly inside the bounds, by push times each
-        box width (times max(1, |bound|) where only one side is finite)."""
-        lo, hi = self.fn.lower, self.fn.upper
-        x = np.asarray(x, dtype=float).copy()
-        both = self.fn.has_lb & self.fn.has_ub
-        if np.any(both):
-            pad = push * (hi[both] - lo[both])
-            x[both] = np.clip(x[both], lo[both] + pad, hi[both] - pad)
-        only_lb = self.fn.has_lb & ~self.fn.has_ub
-        if np.any(only_lb):
-            pad = push * np.maximum(1.0, np.abs(lo[only_lb]))
-            x[only_lb] = np.maximum(x[only_lb], lo[only_lb] + pad)
-        only_ub = self.fn.has_ub & ~self.fn.has_lb
-        if np.any(only_ub):
-            pad = push * np.maximum(1.0, np.abs(hi[only_ub]))
-            x[only_ub] = np.minimum(x[only_ub], hi[only_ub] - pad)
-        return x
-
-    def value(self, x, mu):
-        sl, su = self.fn.slacks(x)
-        if np.any(sl <= 0.0) or np.any(su <= 0.0):
-            return np.inf  # outside the open box: reject in any merit comparison
-        out = 0.0
-        if sl.size:
-            out -= mu * float(np.log(sl).sum())
-        if su.size:
-            out -= mu * float(np.log(su).sum())
-        return out
-
-    def grad(self, x, mu):
-        sl, su = self.fn.slacks(x)
-        g = np.zeros_like(x)
-        g[self.fn.lb] -= mu / sl
-        g[self.fn.ub] += mu / su
-        return g
-
-
-def _comp_error(fn: _Funcs, pt: _Point, zl, zu, mu):
+def _comp_error(pt: _Point, zl, zu, mu):
     sl, su = pt.slacks
-    comp_l = float(np.abs(zl[fn.lb] * sl - mu).max(initial=0.0))
-    return max(0.0, comp_l, float(np.abs(zu[fn.ub] * su - mu).max(initial=0.0)))
+    comp_l = float(np.abs(zl * sl - mu).max(initial=0.0))
+    return max(0.0, comp_l, float(np.abs(zu * su - mu).max(initial=0.0)))
 
 
 def _kkt_errors(fn: _Funcs, pt: _Point, lam, zl, zu, mu):
-    """(stationarity, feasibility, complementarity) errors at pt."""
-    r_dual = pt.g + (pt.J.T @ lam if fn.m else 0.0) - zl + zu
+    """(stationarity, feasibility, complementarity) errors at pt; zl and zu
+    compact on fn.lb and fn.ub."""
+    r_dual = pt.g + (pt.J.T @ lam if fn.m else 0.0)
+    r_dual[fn.lb] -= zl
+    r_dual[fn.ub] += zu
     stat = float(np.abs(r_dual).max(initial=0.0))
-    return stat, pt.viol, _comp_error(fn, pt, zl, zu, mu)
+    return stat, pt.viol, _comp_error(pt, zl, zu, mu)
 
 
 def _restore(fn: _Funcs, pt: _Point, mu: float, opts: IpmOptions, budget: int):
@@ -362,8 +349,8 @@ def _restore(fn: _Funcs, pt: _Point, mu: float, opts: IpmOptions, budget: int):
     )
     tight = 0.1 * opts.tol_feas
     eopts = IpmOptions(opts.tol_stat, tight, min(opts.tol_comp, tight), budget)
-    y, _, _, _, status, it, *_ = _ipm(elastic, eopts, y0, None, elastic=True)
-    return y[:n], status, it
+    res = _ipm(elastic, eopts, y0, None, elastic=True)
+    return res.x[:n], res.status, res.iterations
 
 
 def solve_nlp(prob: NlpProblem, opts: IpmOptions = None, warm=None) -> IpmResult:
@@ -390,33 +377,41 @@ def solve_nlp(prob: NlpProblem, opts: IpmOptions = None, warm=None) -> IpmResult
     message "non-finite KKT matrix" and the best point seen.
     """
     fn = _Funcs(prob)
+    free = np.flatnonzero(fn.free)
+    at_lb, at_ub = free[fn.lb], free[fn.ub]  # full-length positions of the finite bounds
     if warm is not None:
         lam, z_lower, z_upper = (np.asarray(a, dtype=float) for a in warm)
-        warm = (lam, z_lower[fn.free], z_upper[fn.free])
+        warm = (lam, z_lower[at_lb], z_upper[at_ub])
     x0 = np.asarray(prob.x0, dtype=float)[fn.free]
-    return _result(fn, *_ipm(fn, opts or IpmOptions(), x0, warm))
+    res = _ipm(fn, opts or IpmOptions(), x0, warm)
+    zl, zu = np.zeros(fn.n_full), np.zeros(fn.n_full)
+    zl[at_lb] = res.z_lower
+    zu[at_ub] = res.z_upper
+    if np.any(fn.frozen):
+        # recover net bound multipliers of pinned variables from stationarity
+        g_full = fn.grad_full(res.x) + (fn.jac_full(res.x).T @ res.lam if fn.m else 0.0)
+        gz = g_full[fn.frozen]
+        zl[fn.frozen] = np.maximum(gz, 0.0)
+        zu[fn.frozen] = np.maximum(-gz, 0.0)
+    return replace(res, x=fn.expand(res.x), z_lower=zl, z_upper=zu)
 
 
-def _ipm(fn: _Funcs, opts: IpmOptions, x0, warm, elastic=False):
+def _ipm(fn: _Funcs, opts: IpmOptions, x0, warm, elastic=False) -> IpmResult:
     """The interior-point loop on fn's free variables, from x0 and warm
-    (None, or (lam, z_lower, z_upper) on the free variables). Returns
-    _result's arguments after fn. The elastic solve itself (elastic=True)
-    ends at a line-search failure instead of restoring."""
-    barrier = _Barrier(fn)
+    (None, or (lam, z_lower, z_upper) with the bound multipliers compact on
+    fn.lb and fn.ub). The result is on the free variables, its bound
+    multipliers compact. The elastic solve itself (elastic=True) ends at a
+    line-search failure instead of restoring."""
     lb, ub = fn.lb, fn.ub
     m, n = fn.m, fn.n
+    zeros = (np.zeros(m), np.zeros(lb.size), np.zeros(ub.size))  # lam, zl, zu
 
     def start(x, warm):
-        if warm is None:
-            push, mu = _BOUND_PUSH, _MU_INIT
-            warm = (np.zeros(m), np.zeros(n), np.zeros(n))
-        else:
-            push, mu = _WARM_BOUND_PUSH, _WARM_MU_INIT
-        lam, z_lower, z_upper = warm
-        pt = _Point(fn, barrier.interior(x, push))
+        push, mu = (_BOUND_PUSH, _MU_INIT) if warm is None else (_WARM_BOUND_PUSH, _WARM_MU_INIT)
+        lam, z_lower, z_upper = warm or zeros
+        pt = _Point(fn, fn.interior(x, push))
         sl, su = pt.slacks
-        zl, zu = fn.spread(np.maximum(z_lower[lb], mu / sl), np.maximum(z_upper[ub], mu / su))
-        return pt, lam, zl, zu, mu
+        return pt, lam, np.maximum(z_lower, mu / sl), np.maximum(z_upper, mu / su), mu
 
     pt, lam, zl, zu, mu = start(x0, warm)
     rho = 1.0
@@ -427,7 +422,7 @@ def _ipm(fn: _Funcs, opts: IpmOptions, x0, warm, elastic=False):
     best = None  # (point, lam, zl, zu) of least violation, then least f
 
     def remember():
-        # No array is written in place, so holding references is safe. f is
+        # No held array is written in place, so holding references is safe. f is
         # needed only to break a tie in the violation.
         nonlocal best
         if best is None or pt.viol < best[0].viol or (
@@ -437,7 +432,7 @@ def _ipm(fn: _Funcs, opts: IpmOptions, x0, warm, elastic=False):
 
     def finish(status, message="", errors=None):
         stat, feas, comp = errors or _kkt_errors(fn, pt, lam, zl, zu, 0.0)
-        return pt.x, lam, zl, zu, status, it, mu, stat, feas, comp, restorations, message
+        return IpmResult(pt.x, lam, zl, zu, status, it, mu, stat, feas, comp, restorations, message)
 
     remember()
 
@@ -449,7 +444,7 @@ def _ipm(fn: _Funcs, opts: IpmOptions, x0, warm, elastic=False):
                 # duals and continue instead of running a full restoration
                 sl, su = pt.slacks
                 mu = max(mu * 10.0, 1e-6)
-                zl, zu = fn.spread(mu / sl, mu / su)
+                zl, zu = mu / sl, mu / su
                 rho = 1.0
                 continue
             if elastic or not np.isfinite(pt.viol):
@@ -458,7 +453,7 @@ def _ipm(fn: _Funcs, opts: IpmOptions, x0, warm, elastic=False):
             restorations += 1
             x, status, used = _restore(fn, pt, mu, opts, opts.max_iter - it)
             it += used
-            pt, lam, zl, zu = _Point(fn, x), np.zeros(m), np.zeros(n), np.zeros(n)
+            pt, (lam, zl, zu) = _Point(fn, x), zeros
             remember()
             if status != "optimal":
                 message = "elastic restoration did not converge"
@@ -478,21 +473,21 @@ def _ipm(fn: _Funcs, opts: IpmOptions, x0, warm, elastic=False):
         x = pt.x
         sl, su = pt.slacks
         n_bounds = lb.size + ub.size
-        gap = float((zl[lb] * sl).sum()) + float((zu[ub] * su).sum())
+        gap = float((zl * sl).sum()) + float((zu * su).sum())
         mu = max(_SIGMA * gap / n_bounds, 1e-14) if n_bounds else 0.0
 
         it += 1
 
         # Newton step on the perturbed KKT system, z eliminated.
         sig = np.zeros(n)
-        sig[lb] += zl[lb] / sl
-        sig[ub] += zu[ub] / su
+        sig[lb] += zl / sl
+        sig[ub] += zu / su
         grad, jac, c = pt.g, pt.J, pt.c
         w = fn.hess(x, lam, 1.0)
 
-        bar_l, bar_u = fn.spread(mu / sl, mu / su)
         r_x = grad + (jac.T @ lam if m else 0.0)
-        r_x = r_x - bar_l + bar_u
+        r_x[lb] -= mu / sl
+        r_x[ub] += mu / su
         rhs = -np.concatenate([r_x, c])
 
         # Built once; each inertia trial rewrites only the diagonal, as
@@ -508,25 +503,21 @@ def _ipm(fn: _Funcs, opts: IpmOptions, x0, warm, elastic=False):
         w_sig = w.diagonal() + sig
         scale = max(1.0, float(np.abs(w).max(initial=0.0)))
         delta_w, delta_c = 0.0, 0.0
-        step, finite = None, True
-        for _ in range(14):
-            diag[:n] = w_sig + delta_w
-            diag[n:] = -delta_c
-            saw_zero = False
-            try:
-                step = _solve_kkt(kkt, rhs, n, m)
-                break
-            except np.linalg.LinAlgError as exc:
-                saw_zero = "zero" in str(exc)
-            except ValueError:
-                finite = False  # no regularization makes a NaN or inf entry finite
-                break
-            if saw_zero and m:
-                delta_c = max(delta_c * 100.0, 1e-8)
-            delta_w = 1e-8 * scale if delta_w == 0.0 else delta_w * 100.0
-            if delta_w > 1e12 * scale:
-                break
-        if not finite:
+        step = None
+        try:
+            for _ in range(14):
+                diag[:n] = w_sig + delta_w
+                diag[n:] = -delta_c
+                try:
+                    step = _solve_kkt(kkt, rhs, n, m)
+                    break
+                except np.linalg.LinAlgError as exc:
+                    if "zero" in str(exc) and m:
+                        delta_c = max(delta_c * 100.0, 1e-8)
+                delta_w = 1e-8 * scale if delta_w == 0.0 else delta_w * 100.0
+                if delta_w > 1e12 * scale:
+                    break
+        except ValueError:  # no regularization makes a NaN or inf entry finite
             message = "non-finite KKT matrix"
             break
         if step is None:
@@ -535,20 +526,19 @@ def _ipm(fn: _Funcs, opts: IpmOptions, x0, warm, elastic=False):
 
         dx = step[:n]
         dlam = step[n:] if m else np.zeros(0)
-        dzl, dzu = fn.spread(
-            (mu - zl[lb] * dx[lb]) / sl - zl[lb], (mu + zu[ub] * dx[ub]) / su - zu[ub]
-        )
+        dzl = (mu - zl * dx[lb]) / sl - zl
+        dzu = (mu + zu * dx[ub]) / su - zu
 
         tau = min(max(_TAU_MIN, 1.0 - mu), 0.99995)
-        alpha_max = _max_step(fn, x, dx, tau)
-        alpha_z = min(_max_step_pos(zl[lb], dzl[lb], tau), _max_step_pos(zu[ub], dzu[ub], tau))
+        alpha_max = min(_max_step(sl, dx[lb], tau), _max_step(su, -dx[ub], tau))
+        alpha_z = min(_max_step(zl, dzl, tau), _max_step(zu, dzu, tau))
 
         # Acceptance 1: the full primal-dual step contracts the perturbed KKT
         # residual. A primal merit cannot see dual progress, so Newton steps
         # that mostly re-center the multipliers are accepted on the residual
         # itself (this is also what quadratic local convergence requires).
         # Stationarity and feasibility do not depend on mu.
-        err_before = max(stat, feas, _comp_error(fn, pt, zl, zu, mu))
+        err_before = max(stat, feas, _comp_error(pt, zl, zu, mu))
         trial = _Point(fn, x + alpha_max * dx)
         lam_t = lam + alpha_max * dlam if m else lam
         zl_t = zl + alpha_z * dzl
@@ -564,11 +554,11 @@ def _ipm(fn: _Funcs, opts: IpmOptions, x0, warm, elastic=False):
         else:
             # Acceptance 2: l1 merit line search on the primal step.
             c_norm = float(np.abs(c).sum())
-            grad_bar = grad + barrier.grad(x, mu)
+            grad_bar = grad + fn.barrier_grad(x, mu)
             if m and c_norm > 1e-14:
                 needed = float(grad_bar @ dx) / (0.9 * c_norm)
                 rho = max(rho, needed + 1.0, 1.1 * float(np.abs(lam + dlam).max(initial=0.0)))
-            phi0 = pt.f + barrier.value(x, mu) + rho * c_norm
+            phi0 = pt.f + fn.barrier_value(x, mu) + rho * c_norm
             slope = float(grad_bar @ dx) - rho * c_norm
 
             # floating-point noise floor: do not reject steps on rounding error
@@ -577,7 +567,7 @@ def _ipm(fn: _Funcs, opts: IpmOptions, x0, warm, elastic=False):
             cand = trial
             accepted = False
             for _ in range(_MAX_BACKTRACKS):
-                phit = cand.f + barrier.value(cand.x, mu) + rho * float(np.abs(cand.c).sum())
+                phit = cand.f + fn.barrier_value(cand.x, mu) + rho * float(np.abs(cand.c).sum())
                 if phit <= phi0 + _ARMIJO_ETA * alpha * min(slope, 0.0) + noise:
                     accepted = True
                     break
@@ -598,41 +588,11 @@ def _ipm(fn: _Funcs, opts: IpmOptions, x0, warm, elastic=False):
         # keep duals safely positive and bounded relative to mu (centrality guard)
         sl, su = pt.slacks
         sl, su = np.maximum(sl, 1e-300), np.maximum(su, 1e-300)
-        zl, zu = fn.spread(
-            np.clip(zl_t[lb], mu / (1e10 * sl), 1e10 * mu / sl),
-            np.clip(zu_t[ub], mu / (1e10 * su), 1e10 * mu / su),
-        )
+        zl = np.clip(zl_t, mu / (1e10 * sl), 1e10 * mu / sl)
+        zu = np.clip(zu_t, mu / (1e10 * su), 1e10 * mu / su)
         remember()
 
     # iteration budget exhausted, restoration failed or a KKT matrix was not
     # finite: report the best point seen
     pt, lam, zl, zu = best
     return finish("max_iter", message)
-
-
-def _result(fn, x, lam, zl, zu, status, it, mu, stat, feas, comp, restorations, message):
-    x_full = fn.expand(x)
-    zl_full = np.zeros(fn.n_full)
-    zu_full = np.zeros(fn.n_full)
-    zl_full[fn.free] = zl
-    zu_full[fn.free] = zu
-    if np.any(fn.frozen):
-        # recover net bound multipliers of pinned variables from stationarity
-        g_full = fn.grad_full(x) + (fn.jac_full(x).T @ lam if fn.m else 0.0)
-        gz = g_full[fn.frozen]
-        zl_full[fn.frozen] = np.maximum(gz, 0.0)
-        zu_full[fn.frozen] = np.maximum(-gz, 0.0)
-    return IpmResult(
-        x=x_full,
-        lam=lam,
-        z_lower=zl_full,
-        z_upper=zu_full,
-        status=status,
-        iterations=it,
-        mu=mu,
-        stat_err=stat,
-        feas_err=feas,
-        comp_err=comp,
-        restorations=restorations,
-        message=message,
-    )

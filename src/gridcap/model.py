@@ -23,6 +23,12 @@ class ValidationError(GridcapError):
     """A model invariant does not hold."""
 
 
+def _require_finite(owner: str, **values):
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValidationError(f"{owner}: {name} must be finite, got {value}")
+
+
 class BusKind(enum.Enum):
     SLACK = "slack"
     PV = "pv"
@@ -52,6 +58,9 @@ class Bus:
     def validate(self):
         if self.id <= 0:
             raise ValidationError(f"bus id must be a positive integer, got {self.id}")
+        _require_finite(
+            f"bus {self.id}", v_min=self.v_min, v_max=self.v_max, base_kv=self.base_kv
+        )
         if not (0.0 < self.v_min < self.v_max):
             raise ValidationError(
                 f"bus {self.id}: voltage bounds must satisfy 0 < v_min < v_max, "
@@ -77,6 +86,7 @@ class Branch:
     def validate(self):
         if self.from_bus == self.to_bus:
             raise ValidationError(f"branch {self.from_bus}-{self.to_bus}: self-loop")
+        _require_finite(f"branch {self.from_bus}-{self.to_bus}", r=self.r, x=self.x, b_sh=self.b_sh)
         if self.r < 0.0:
             raise ValidationError(
                 f"branch {self.from_bus}-{self.to_bus}: negative resistance {self.r}"
@@ -102,6 +112,8 @@ class Generator:
         return self.c2 * p_mw * p_mw + self.c1 * p_mw + self.c0
 
     def validate(self):
+        names = ("p_min", "p_max", "q_min", "q_max", "c2", "c1", "c0")
+        _require_finite(f"generator at bus {self.bus}", **{k: getattr(self, k) for k in names})
         if self.p_min > self.p_max:
             raise ValidationError(f"generator at bus {self.bus}: p_min > p_max")
         if self.q_min > self.q_max:
@@ -133,6 +145,8 @@ class PvUnit:
             )
         if len(self.p_profile) == 0:
             raise ValidationError(f"pv unit at bus {self.bus}: empty profile")
+        profile = {f"profile hour {t}": p for t, p in enumerate(self.p_profile)}
+        _require_finite(f"pv unit at bus {self.bus}", **profile)
         if any(p < 0.0 for p in self.p_profile):
             raise ValidationError(
                 f"pv unit at bus {self.bus}: profile values must be >= 0"
@@ -147,6 +161,7 @@ class ShuntCapacitor:
     b_cap: float  # p.u. susceptance; rated Mvar = b_cap * s_base at 1.0 p.u.
 
     def validate(self):
+        _require_finite(f"shunt capacitor at bus {self.bus}", b_cap=self.b_cap)
         if self.b_cap <= 0.0:
             raise ValidationError(
                 f"shunt capacitor at bus {self.bus}: b_cap must be positive"
@@ -236,6 +251,7 @@ class Network:
     # -- validation ---------------------------------------------------------
 
     def validate(self):
+        _require_finite("network", s_base=self.s_base)
         if self.s_base <= 0.0:
             raise ValidationError(f"s_base must be positive, got {self.s_base}")
         if not self.buses:
@@ -321,8 +337,8 @@ class DemandSeries:
             )
         if p.shape[0] < 1:
             raise ValidationError("demand horizon must be >= 1")
-        if self.dt <= 0.0:
-            raise ValidationError(f"dt must be positive, got {self.dt}")
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ValidationError(f"dt must be finite and positive, got {self.dt}")
         with np.errstate(invalid="ignore"):
             if np.any(p[np.isfinite(p)] < 0.0):
                 raise ValidationError("demand p_mw must be >= 0 for true loads")

@@ -22,14 +22,19 @@ Network file grammar (UTF-8, `#` starts a comment, blank lines ignored):
 Sections may appear in any order; GEN, PV and SHUNT are optional. The PV
 profile is a comma-separated MW value per timestep with no spaces.
 
-Demand CSV: header ``hour,bus_id,p_mw,q_mvar``; missing (hour, bus) pairs
-default to zero; a non-finite value marks that hour invalid.
+Every number in the network file must be finite. Demand CSV: header
+``hour,bus_id,p_mw,q_mvar``; missing (hour, bus) pairs default to zero; a
+non-finite value marks that hour invalid.
+
+load_network and load_demand name the file in their errors:
+``FILE, line N: message``.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 
 import numpy as np
 
@@ -50,23 +55,28 @@ from .model import (
 
 
 class NetworkFileError(GridcapError):
-    """Syntax or reference error in an input file, with a line number."""
+    """Syntax or reference error in an input file, with a line number and,
+    from load_network / load_demand, the file's path."""
 
-    def __init__(self, message: str, line: int = None):
-        self.line = line
+    def __init__(self, message: str, line: int = None, source=None):
+        self.detail, self.line, self.source = message, line, source
+        where = [str(source)] if source is not None else []
         if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+            where.append(f"line {line}")
+        super().__init__(f"{', '.join(where)}: {message}" if where else message)
 
 
 _SECTIONS = ("BUS", "BRANCH", "GEN", "PV", "SHUNT")
 
 
-def _parse_float(token: str, what: str, line: int) -> float:
+def _parse_float(token: str, what: str, line: int, finite: bool = True) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise NetworkFileError(f"expected a number for {what}, got {token!r}", line)
+    if finite and not math.isfinite(value):
+        raise NetworkFileError(f"{what} must be finite, got {token!r}", line)
+    return value
 
 
 def _parse_int(token: str, what: str, line: int) -> int:
@@ -267,8 +277,8 @@ def parse_demand(text: str, net: Network = None, dt: float = 1.0) -> DemandSerie
             raise NetworkFileError(f"demand row needs 4 fields, got {len(row)}", lineno)
         hour = _parse_int(row[0].strip(), "hour", lineno)
         bus_id = _parse_int(row[1].strip(), "bus_id", lineno)
-        p = _parse_float(row[2].strip(), "p_mw", lineno)
-        q = _parse_float(row[3].strip(), "q_mvar", lineno)
+        p = _parse_float(row[2].strip(), "p_mw", lineno, finite=False)
+        q = _parse_float(row[3].strip(), "q_mvar", lineno, finite=False)
         if hour < 0:
             raise NetworkFileError(f"hour must be >= 0, got {hour}", lineno)
         if known is not None and bus_id not in known:
@@ -311,11 +321,18 @@ def serialize_demand(demand: DemandSeries) -> str:
     return "\n".join(out) + "\n"
 
 
-def load_network(path) -> Network:
+def _load(path, parse, **kwargs):
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_network(fh.read())
+        text = fh.read()
+    try:
+        return parse(text, **kwargs)
+    except NetworkFileError as exc:
+        raise NetworkFileError(exc.detail, exc.line, path) from None
+
+
+def load_network(path) -> Network:
+    return _load(path, parse_network)
 
 
 def load_demand(path, net: Network = None, dt: float = 1.0) -> DemandSeries:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_demand(fh.read(), net=net, dt=dt)
+    return _load(path, parse_demand, net=net, dt=dt)

@@ -65,6 +65,13 @@ CROSS_CASE_HEADER = [
 ]
 
 
+def _hour_totals(sol):
+    """(load, served, shed, loss) of one hour's solution, MW."""
+    load, shed = float(sol.p_load_mw.sum()), sol.shed_mw
+    served = load - shed
+    return load, served, shed, float(sol.p_g.sum() + sol.p_inj_mw.sum()) - served
+
+
 def write_case_files(outdir, case_number: int, case, weights, prefix: str = "case"):
     """Emit hourly, per-bus and sensitivity CSVs for one case."""
     tag = f"{prefix}{case_number}" if case_number else prefix
@@ -79,10 +86,7 @@ def write_case_files(outdir, case_number: int, case, weights, prefix: str = "cas
         sol = outcome.solution
         status = sol.status.value
         optimal = sol.status is OpfStatus.OPTIMAL
-        load = float(sol.p_load_mw.sum())
-        shed_mw = float((sol.shed * sol.p_load_mw).sum())
-        served = load - shed_mw
-        loss = float(sol.p_g.sum() + sol.p_inj_mw.sum()) - served
+        load, served, shed_mw, loss = _hour_totals(sol)
         hourly_rows.append([
             t, status,
             _fmt(sol.generation_cost * case.dt) if optimal else "",
@@ -145,12 +149,11 @@ def write_dispatch_long(outdir, study: StudyResult):
             if not outcome.valid or not outcome.optimal:
                 continue
             sol = outcome.solution
-            load = float(sol.p_load_mw.sum())
-            shed_mw = float((sol.shed * sol.p_load_mw).sum())
+            _, _, shed_mw, loss = _hour_totals(sol)
             values = {
                 "p_gen_mw": float(sol.p_g.sum()),
                 "q_gen_mvar": float(sol.q_g.sum()),
-                "loss_mw": float(sol.p_g.sum() + sol.p_inj_mw.sum()) - (load - shed_mw),
+                "loss_mw": loss,
                 "cost_usd": sol.generation_cost * case.dt,
                 "shed_mw": shed_mw,
             }

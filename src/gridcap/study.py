@@ -227,10 +227,9 @@ def _aggregate_case(scenario, net, demand, outcomes, sens) -> CaseResult:
         if sol.status is not OpfStatus.OPTIMAL:
             non_opt += 1
             continue
-        load = sol.p_load_mw
-        shed_mw = float((sol.shed * load).sum())
-        demand_total += float(load.sum())
-        served += float(load.sum()) - shed_mw
+        load, shed_mw = float(sol.p_load_mw.sum()), sol.shed_mw
+        demand_total += load
+        served += load - shed_mw
         shed += shed_mw
         total_cost += sol.generation_cost * dt
         vmins.append(float(sol.v.min()))
@@ -322,7 +321,7 @@ def run_four_case_study(
     stressed = [o.hour for o in case2.hours if o.valid and not o.optimal]
     shedding = [
         o.hour for o in case3.hours
-        if o.optimal and float((o.solution.shed * o.solution.p_load_mw).sum()) > SHED_MW
+        if o.optimal and o.solution.shed_mw > SHED_MW
     ]
     if stressed != shedding:
         warnings.append(

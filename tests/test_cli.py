@@ -41,6 +41,13 @@ class TestValidate:
         assert code == 1
         assert "/nonexistent/net.grid" in capsys.readouterr().err
 
+    def test_bad_number_names_file_and_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.grid"
+        bad.write_text("SBASE 10\nBUS\n1 slack 0.95 1.05 x\nEND\n")
+        assert main(["validate", "--network", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}, line 3: expected a number for base_kv, got 'x'\n"
+
     def test_invalid_network_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.grid"
         bad.write_text("SBASE 10\nBUS\n1 pq 0.95 1.05 12.47\nEND\n")
@@ -90,6 +97,29 @@ class TestSolve:
         )
         assert code == 2  # iteration-starved hours are not optimal
         assert any(r["status"] == "max_iterations" for r in rows(out / "solve_hourly.csv"))
+
+    @pytest.mark.parametrize(
+        "flag, value, name",
+        [("--voll-rate", "-5", "voll_rate"), ("--max-iter", "0", "max_iter"),
+         ("--feas-tol", "-1", "feas_tol"), ("--kkt-tol", "nan", "kkt_tol"),
+         ("--eps-loss", "-0.5", "eps_loss")],
+    )
+    def test_bad_solver_flag_exits_1_naming_the_option(self, tmp_path, capsys, flag, value, name):
+        # before, --voll-rate -5 shed load across the horizon and exited 0
+        out = tmp_path / "never"
+        code = main(["solve", "--case", "old", "--network", NET9, "--demand", DEM9,
+                     flag, value, "--out", str(out)])
+        assert code == 1
+        assert f"error: solver option {name} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_config_value_exits_1_naming_the_option(self, tmp_path, capsys):
+        cfg = tmp_path / "solver.conf"
+        cfg.write_text("voll_rate = -5\n")
+        code = main(["solve", "--network", NET2, "--demand", DEM2,
+                     "--config", str(cfg), "--out", str(tmp_path / "never")])
+        assert code == 1
+        assert "error: solver option voll_rate must be finite and > 0" in capsys.readouterr().err
 
     def test_restoration_stays_within_max_iter(self, tmp_path):
         # stressed hours need restoration; it must not run past the cap

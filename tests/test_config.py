@@ -2,6 +2,7 @@ import pytest
 
 from gridcap.acopf import SolverOptions
 from gridcap.config import ConfigError, load_config, parse_config, solver_options_from
+from gridcap.model import ValidationError
 
 
 def test_parse_key_value_lines():
@@ -67,3 +68,29 @@ def test_malformed_line_names_file(tmp_path):
     cfg.write_text("max_iter = 50\nfeas_tol 1e-7\n")
     with pytest.raises(ConfigError, match=f"{cfg}, line 2"):
         load_config(cfg)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("feas_tol", -1.0), ("feas_tol", 0.0), ("kkt_tol", float("nan")),
+        ("comp_tol", float("inf")), ("voll_rate", -5.0), ("voll_rate", 0.0),
+        ("voll_rate", float("inf")), ("eps_pg", -1e-3), ("eps_loss", float("nan")),
+        ("max_iter", 0), ("max_iter", -3),
+    ],
+)
+def test_solver_option_out_of_range_rejected(name, value):
+    with pytest.raises(ValidationError, match=f"solver option {name} must be"):
+        SolverOptions(**{name: value})
+
+
+def test_solver_option_zero_tie_breaks_allowed():
+    opts = SolverOptions(eps_pg=0.0, eps_loss=0.0, max_iter=1)
+    assert (opts.eps_pg, opts.eps_loss, opts.max_iter) == (0.0, 0.0, 1)
+
+
+def test_config_file_values_are_checked(tmp_path):
+    cfg = tmp_path / "solver.conf"
+    cfg.write_text("max_iter = 0\n")
+    with pytest.raises(ValidationError, match="solver option max_iter must be >= 1"):
+        solver_options_from(load_config(cfg))

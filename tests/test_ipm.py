@@ -9,7 +9,6 @@ from gridcap import acopf, ipm
 from gridcap.ipm import (
     IpmOptions,
     NlpProblem,
-    _Barrier,
     _Funcs,
     _inertia,
     _max_step,
@@ -456,19 +455,22 @@ def test_max_step_matches_mask_form():
     cases.append((np.full(3, -np.inf), np.full(3, np.inf), np.zeros(3), np.ones(3)))
     for lo, hi, x, dx in cases:
         fn = box_funcs(lo, hi)
+        sl, su = fn.slacks(x)
         for tau in (0.99, 0.99995, 1.0):
-            assert _max_step(fn, x, dx, tau) == reference_max_step(x, dx, lo, hi, tau)
+            # the multipliers' rule on the slacks is the primal step
+            alpha = min(_max_step(sl, dx[fn.lb], tau), _max_step(su, -dx[fn.ub], tau))
+            assert alpha == reference_max_step(x, dx, lo, hi, tau)
 
 
 def test_barrier_value_and_grad_match_mask_form():
     saw_outside = False
     for k, (lo, hi, x, dx) in enumerate(random_boxes()):
-        barrier = _Barrier(box_funcs(lo, hi))
+        fn = box_funcs(lo, hi)
         # every third point steps through the box: value must be inf there
         y = x + 10.0 * dx if k % 3 == 0 else x
         for mu in (1e-1, 1e-7):
             value, grad = reference_barrier(y, lo, hi, mu)
             saw_outside |= value == np.inf
-            assert barrier.value(y, mu) == value
-            assert np.array_equal(barrier.grad(y, mu), grad)
+            assert fn.barrier_value(y, mu) == value
+            assert np.array_equal(fn.barrier_grad(y, mu), grad)
     assert saw_outside

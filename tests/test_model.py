@@ -115,6 +115,41 @@ class TestNetworkValidation:
             simple_net(shunts=(ShuntCapacitor(2, 0.0),))
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+class TestNonFiniteRejected:
+    """Objects built in code: a non-finite number fails validation, naming
+    the device and the field, instead of leaking into a solve."""
+
+    @pytest.mark.parametrize(
+        "kw, match",
+        [
+            (dict(s_base=INF), "network: s_base must be finite"),
+            (dict(buses=(bus(1, BusKind.SLACK, v=(0.95, INF)), bus(2))), "bus 1: v_max"),
+            (dict(buses=(bus(1, BusKind.SLACK), Bus(2, BusKind.PQ, 0.95, 1.05, NAN))),
+             "bus 2: base_kv"),
+            (dict(branches=(Branch(1, 2, NAN, 0.1),)), "branch 1-2: r must be finite"),
+            (dict(branches=(Branch(1, 2, 0.02, -INF),)), "branch 1-2: x must be finite"),
+            (dict(branches=(Branch(1, 2, 0.02, 0.1, NAN),)), "branch 1-2: b_sh"),
+            (dict(generators=(Generator(1, 0.0, 10.0, -8.0, 8.0, 0.02, INF, 40.0),)),
+             "generator at bus 1: c1 must be finite"),
+            (dict(generators=(Generator(1, 0.0, NAN, -8.0, 8.0, 0.02, 25.0, 40.0),)),
+             "generator at bus 1: p_max"),
+            (dict(pv_units=(PvUnit(2, (0.5, NAN, 0.5)),)), "pv unit at bus 2: profile hour 1"),
+            (dict(shunts=(ShuntCapacitor(2, NAN),)), "shunt capacitor at bus 2: b_cap"),
+        ],
+    )
+    def test_non_finite_field_rejected(self, kw, match):
+        with pytest.raises(ValidationError, match=match):
+            simple_net(**kw)
+
+    @pytest.mark.parametrize("dt", [NAN, INF])
+    def test_non_finite_dt_rejected(self, dt):
+        with pytest.raises(ValidationError, match="dt must be finite"):
+            DemandSeries(bus_ids=(1,), p_mw=np.ones((1, 1)), q_mvar=np.zeros((1, 1)), dt=dt)
+
+
 def graph_components(bus_ids, edges):
     """Independent component count over an undirected edge list."""
     adj = {b: set() for b in bus_ids}

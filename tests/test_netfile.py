@@ -1,9 +1,13 @@
+import re
+
 import pytest
 
 from gridcap.fixtures import fixture_text
 from gridcap.model import BranchStatus
 from gridcap.netfile import (
     NetworkFileError,
+    load_demand,
+    load_network,
     parse_demand,
     parse_network,
     serialize_demand,
@@ -125,3 +129,61 @@ def test_demand_unknown_bus_rejected_when_network_given(two_bus):
     net, _ = two_bus
     with pytest.raises(NetworkFileError, match="77"):
         parse_demand("hour,bus_id,p_mw,q_mvar\n0,77,1.0,0.0\n", net=net)
+
+
+# -- non-finite numbers and file names in errors --------------------------------
+
+MG9 = fixture_text("microgrid9.grid")
+
+
+@pytest.mark.parametrize(
+    "old, new, lineno, what",
+    [
+        ("0.0000,0.1275,0.5164", "0.0000,nan,0.5164", 31, "pv profile value"),
+        ("1 2 0.010 0.020", "1 2 nan 0.020", 17, "r"),
+        ("5.6 1.0 90.0 15.0", "5.6 1.0 inf 15.0", 28, "generator field"),
+        ("SBASE 10.0", "SBASE inf", 2, "SBASE"),
+        ("4 pq 0.95 1.05", "4 pq 0.95 inf", 8, "v_max"),
+        ("2 3 0.015 0.030 0.0 closed", "2 3 0.015 0.030 -inf closed", 18, "b_sh"),
+    ],
+)
+def test_non_finite_network_value_rejected_with_line(old, new, lineno, what):
+    assert MG9.count(old) == 1
+    with pytest.raises(NetworkFileError, match=f"^line {lineno}: {what} must be finite"):
+        parse_network(MG9.replace(old, new))
+
+
+def test_non_finite_shunt_rejected_with_line():
+    text = MINIMAL + "SHUNT\n2 nan\nEND\n"
+    with pytest.raises(NetworkFileError, match="^line 14: b_cap must be finite"):
+        parse_network(text)
+
+
+def test_demand_keeps_nan_as_invalid_hour_marker():
+    d = parse_demand("hour,bus_id,p_mw,q_mvar\n0,1,1.0,0.5\n1,1,nan,0.5\n2,1,1.0,inf\n")
+    assert d.valid_hours == (0,)
+
+
+def test_load_network_names_the_file(tmp_path):
+    path = tmp_path / "bad.grid"
+    path.write_text(MINIMAL.replace("1 2 0.02 0.1", "1 2 nan 0.1"))
+    expected = f"^{re.escape(str(path))}, line 8: r must be finite"
+    with pytest.raises(NetworkFileError, match=expected) as info:
+        load_network(path)
+    assert (info.value.source, info.value.line) == (path, 8)
+
+
+def test_load_network_names_the_file_without_a_line(tmp_path):
+    path = tmp_path / "bad.grid"
+    path.write_text(MINIMAL.replace("1 slack", "1 pv"))
+    with pytest.raises(NetworkFileError, match=f"^{re.escape(str(path))}: no slack"):
+        load_network(path)
+
+
+def test_load_demand_names_the_file(tmp_path, two_bus):
+    net, _ = two_bus
+    path = tmp_path / "bad.csv"
+    path.write_text("hour,bus_id,p_mw,q_mvar\n0,1,1.0,0.0\n0,1,x,0.0\n")
+    expected = f"^{re.escape(str(path))}, line 3: expected a number for p_mw"
+    with pytest.raises(NetworkFileError, match=expected):
+        load_demand(path, net=net)
