@@ -182,14 +182,12 @@ def _parse_cap_costs(text: str, default_buses=()) -> dict:
 
 
 def cmd_plan(args) -> int:
-    meta_placement = tuple(
-        int(b) for b in read_meta(args.case3).get("placement", "").split() if b
-    )
+    meta = read_meta(args.case3)
+    meta_placement = tuple(int(b) for b in meta.get("placement", "").split() if b)
     cap_cost = _parse_cap_costs(args.cap_cost, default_buses=meta_placement)
     shed = read_shed_by_bus(args.case3, case_number=3)
     if not shed:
         raise ReportError(f"no case-3 shed data found under {args.case3}")
-    meta = read_meta(args.case3)
     dt = float(meta.get("dt", 1.0))
     c_voll = {b: mw * args.voll * dt for b, mw in shed.items()}
     missing = [b for b in cap_cost if b not in c_voll]

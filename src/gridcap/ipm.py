@@ -30,9 +30,12 @@ A warm start carries a nearby solution's whole primal-dual point: x, lam and
 the bound multipliers, with a small bound push and a small floor on the
 multipliers.
 
-Inside the loop the bound multipliers are compact, like the slacks: one
-entry per finite lower bound (fn.lb) and per finite upper bound (fn.ub).
-solve_nlp returns them full length, zero where a bound is infinite.
+Inside the loop the finite bounds are one set: each is a row of the slack
+s = sign * (x[bound] - value) >= 0, the lower bounds first (sign +1), then
+the upper bounds (sign -1), with one multiplier per row in one vector z.
+Barrier, complementarity, Newton step and step rules all run once over s
+and z. solve_nlp returns z split into full-length z_lower and z_upper, zero
+where a bound is infinite.
 """
 
 from __future__ import annotations
@@ -89,8 +92,9 @@ class IpmOptions:
 class IpmResult:
     """Outcome of one solve. From solve_nlp, x, z_lower and z_upper are full
     length, with the pinned variables' net bound multipliers recovered from
-    stationarity. _ipm returns x on the free variables and z_lower / z_upper
-    compact on the finite bounds (fn.lb / fn.ub)."""
+    stationarity. _ipm returns x on the free variables and its one bound
+    multiplier vector split at fn.n_lower: z_lower on the lower-bound rows,
+    z_upper on the upper-bound rows."""
 
     x: np.ndarray
     lam: np.ndarray
@@ -125,13 +129,19 @@ class _Funcs:
         self.upper = upper[self.free]
         self.n = int(self.free.sum())
         self.m = prob.n_eq
-        self.has_lb = np.isfinite(self.lower)
-        self.has_ub = np.isfinite(self.upper)
-        # indices of the finite bounds and their values
-        self.lb = np.flatnonzero(self.has_lb)
-        self.ub = np.flatnonzero(self.has_ub)
-        self.lo_b = self.lower[self.lb]
-        self.hi_b = self.upper[self.ub]
+        # One row per finite bound, s = sign * (x[bound] - value): the lower
+        # bounds first (side 0, sign +1), then the upper bounds (side 1, sign -1).
+        # It is formed as sign * x[bound] - level, level = sign * value, so that
+        # an upper row is exactly u - x, the sign of a zero included.
+        bounds = np.stack([self.lower, self.upper])
+        self.side, self.bound = np.nonzero(np.isfinite(bounds))
+        self.n_lower = int(np.count_nonzero(self.side == 0))
+        self.sign = 1.0 - 2.0 * self.side
+        self.level = self.sign * bounds[self.side, self.bound]
+        # the start's push is scaled by the box width u - l, or by
+        # max(1, |bound|) where the other side is infinite
+        span = np.ptp(bounds[:, self.bound], axis=0)
+        self.width = np.where(np.isfinite(span), span, np.maximum(1.0, np.abs(self.level)))
 
     def expand(self, x):
         full = self.x_frozen.copy()
@@ -161,45 +171,41 @@ class _Funcs:
         return h[np.ix_(self.free, self.free)]
 
     def slacks(self, x):
-        """(x - l, u - x) on the finite lower and upper bounds."""
-        return x[self.lb] - self.lo_b, self.hi_b - x[self.ub]
+        """The slack of every bound row: x - l on the lower rows, u - x on
+        the upper rows."""
+        return self.sign * x[self.bound] - self.level
+
+    def scatter(self, r, w):
+        """r[bound] -= sign * w, one row at a time, so that a variable with
+        both bounds gets both of its rows: w is subtracted at its lower row
+        and added at its upper row. Returns r, written in place."""
+        np.subtract.at(r, self.bound, self.sign * w)
+        return r
+
+    def sigma(self, s, z):
+        """The barrier Hessian's diagonal: z / s summed per variable over its
+        bound rows."""
+        return np.bincount(self.bound, z / s, self.n)
 
     def interior(self, x, push=_BOUND_PUSH):
         """Clip a start point strictly inside the bounds, by push times each
         box width (times max(1, |bound|) where only one side is finite)."""
-        lo, hi = self.lower, self.upper
-        x = np.asarray(x, dtype=float).copy()
-        both = self.has_lb & self.has_ub
-        if np.any(both):
-            pad = push * (hi[both] - lo[both])
-            x[both] = np.clip(x[both], lo[both] + pad, hi[both] - pad)
-        only_lb = self.has_lb & ~self.has_ub
-        if np.any(only_lb):
-            pad = push * np.maximum(1.0, np.abs(lo[only_lb]))
-            x[only_lb] = np.maximum(x[only_lb], lo[only_lb] + pad)
-        only_ub = self.has_ub & ~self.has_lb
-        if np.any(only_ub):
-            pad = push * np.maximum(1.0, np.abs(hi[only_ub]))
-            x[only_ub] = np.minimum(x[only_ub], hi[only_ub] - pad)
-        return x
+        edge = self.sign * (self.level + push * self.width)  # l + pad, u - pad
+        limits = np.repeat([[-np.inf], [np.inf]], self.n, axis=1)
+        limits[self.side, self.bound] = edge
+        return np.clip(np.asarray(x, dtype=float), *limits)
 
     def barrier_value(self, x, mu):
-        sl, su = self.slacks(x)
-        if np.any(sl <= 0.0) or np.any(su <= 0.0):
+        s = self.slacks(x)
+        if np.any(s <= 0.0):
             return np.inf  # outside the open box: reject in any merit comparison
         out = 0.0
-        if sl.size:
-            out -= mu * float(np.log(sl).sum())
-        if su.size:
-            out -= mu * float(np.log(su).sum())
+        for part in np.split(s, [self.n_lower]):  # summed apart, as the gap in _ipm
+            out -= mu * float(np.log(part).sum())
         return out
 
     def barrier_grad(self, x, mu):
-        sl, su = self.slacks(x)
-        g = np.zeros_like(x)
-        g[self.lb] -= mu / sl
-        g[self.ub] += mu / su
-        return g
+        return self.scatter(np.zeros(self.n), mu / self.slacks(x))
 
 
 class _Point:
@@ -257,7 +263,7 @@ def _inertia(ldu: np.ndarray, ipiv: np.ndarray):
 def _max_step(z, dz, tau):
     """Largest alpha in [0, 1] keeping z + alpha*dz a fraction tau inside
     z >= 0: the fraction-to-boundary rule, for the multipliers and, on the
-    slacks (dz = dx[lb] and -dx[ub]), for x."""
+    slacks (dz = sign * dx[bound]), for x."""
     shrink = dz < 0.0
     if not np.any(shrink):
         return 1.0
@@ -293,20 +299,16 @@ def _solve_kkt(kkt, rhs, n, m):
     return d * step
 
 
-def _comp_error(pt: _Point, zl, zu, mu):
-    sl, su = pt.slacks
-    comp_l = float(np.abs(zl * sl - mu).max(initial=0.0))
-    return max(0.0, comp_l, float(np.abs(zu * su - mu).max(initial=0.0)))
+def _comp_error(pt: _Point, z, mu):
+    return float(np.abs(z * pt.slacks - mu).max(initial=0.0))
 
 
-def _kkt_errors(fn: _Funcs, pt: _Point, lam, zl, zu, mu):
-    """(stationarity, feasibility, complementarity) errors at pt; zl and zu
-    compact on fn.lb and fn.ub."""
-    r_dual = pt.g + (pt.J.T @ lam if fn.m else 0.0)
-    r_dual[fn.lb] -= zl
-    r_dual[fn.ub] += zu
+def _kkt_errors(fn: _Funcs, pt: _Point, lam, z, mu):
+    """(stationarity, feasibility, complementarity) errors at pt; z has one
+    entry per bound row of fn."""
+    r_dual = fn.scatter(pt.g + (pt.J.T @ lam if fn.m else 0.0), z)
     stat = float(np.abs(r_dual).max(initial=0.0))
-    return stat, pt.viol, _comp_error(pt, zl, zu, mu)
+    return stat, pt.viol, _comp_error(pt, z, mu)
 
 
 def _restore(fn: _Funcs, pt: _Point, mu: float, opts: IpmOptions, budget: int):
@@ -375,18 +377,21 @@ def solve_nlp(prob: NlpProblem, opts: IpmOptions = None, warm=None) -> IpmResult
     A KKT matrix with a non-finite entry (a NaN or inf Hessian or Jacobian
     at a finite point) ends the solve at once with status "max_iter",
     message "non-finite KKT matrix" and the best point seen.
+
+    The loop keeps one multiplier per finite bound, the lower bounds' rows
+    first: a warm z is gathered from z_lower and z_upper, and the result's,
+    split at fn.n_lower, is scattered back to full length.
     """
     fn = _Funcs(prob)
-    free = np.flatnonzero(fn.free)
-    at_lb, at_ub = free[fn.lb], free[fn.ub]  # full-length positions of the finite bounds
+    k = fn.n_lower
+    at = np.flatnonzero(fn.free)[fn.bound]  # full-length position of each bound row
     if warm is not None:
         lam, z_lower, z_upper = (np.asarray(a, dtype=float) for a in warm)
-        warm = (lam, z_lower[at_lb], z_upper[at_ub])
+        warm = (lam, np.concatenate([z_lower[at[:k]], z_upper[at[k:]]]))
     x0 = np.asarray(prob.x0, dtype=float)[fn.free]
     res = _ipm(fn, opts or IpmOptions(), x0, warm)
     zl, zu = np.zeros(fn.n_full), np.zeros(fn.n_full)
-    zl[at_lb] = res.z_lower
-    zu[at_ub] = res.z_upper
+    zl[at[:k]], zu[at[k:]] = res.z_lower, res.z_upper
     if np.any(fn.frozen):
         # recover net bound multipliers of pinned variables from stationarity
         g_full = fn.grad_full(res.x) + (fn.jac_full(res.x).T @ res.lam if fn.m else 0.0)
@@ -398,28 +403,29 @@ def solve_nlp(prob: NlpProblem, opts: IpmOptions = None, warm=None) -> IpmResult
 
 def _ipm(fn: _Funcs, opts: IpmOptions, x0, warm, elastic=False) -> IpmResult:
     """The interior-point loop on fn's free variables, from x0 and warm
-    (None, or (lam, z_lower, z_upper) with the bound multipliers compact on
-    fn.lb and fn.ub). The result is on the free variables, its bound
-    multipliers compact. The elastic solve itself (elastic=True) ends at a
-    line-search failure instead of restoring."""
-    lb, ub = fn.lb, fn.ub
-    m, n = fn.m, fn.n
-    zeros = (np.zeros(m), np.zeros(lb.size), np.zeros(ub.size))  # lam, zl, zu
+    (None, or (lam, z) with z one multiplier per bound row of fn). Every
+    bound operation runs once over the slacks s = fn.slacks(x) and z: the
+    start, mu, the barrier Hessian sigma = z / s, the Newton right-hand side
+    and dz, the fraction-to-boundary steps and the dual clip. The result is
+    on the free variables, z split at fn.n_lower into z_lower and z_upper.
+    The elastic solve itself (elastic=True) ends at a line-search failure
+    instead of restoring."""
+    k, m, n = fn.n_lower, fn.m, fn.n
+    zeros = (np.zeros(m), np.zeros(fn.bound.size))  # lam, z
 
     def start(x, warm):
         push, mu = (_BOUND_PUSH, _MU_INIT) if warm is None else (_WARM_BOUND_PUSH, _WARM_MU_INIT)
-        lam, z_lower, z_upper = warm or zeros
+        lam, z = warm or zeros
         pt = _Point(fn, fn.interior(x, push))
-        sl, su = pt.slacks
-        return pt, lam, np.maximum(z_lower, mu / sl), np.maximum(z_upper, mu / su), mu
+        return pt, lam, np.maximum(z, mu / pt.slacks), mu
 
-    pt, lam, zl, zu, mu = start(x0, warm)
+    pt, lam, z, mu = start(x0, warm)
     rho = 1.0
     it = 0
     restorations = 0
     need_restore = False
     message = "iteration limit reached"
-    best = None  # (point, lam, zl, zu) of least violation, then least f
+    best = None  # (point, lam, z) of least violation, then least f
 
     def remember():
         # No held array is written in place, so holding references is safe. f is
@@ -428,11 +434,11 @@ def _ipm(fn: _Funcs, opts: IpmOptions, x0, warm, elastic=False) -> IpmResult:
         if best is None or pt.viol < best[0].viol or (
             pt.viol == best[0].viol and pt.f < best[0].f
         ):
-            best = (pt, lam, zl, zu)
+            best = (pt, lam, z)
 
     def finish(status, message="", errors=None):
-        stat, feas, comp = errors or _kkt_errors(fn, pt, lam, zl, zu, 0.0)
-        return IpmResult(pt.x, lam, zl, zu, status, it, mu, stat, feas, comp, restorations, message)
+        stat, feas, comp = errors or _kkt_errors(fn, pt, lam, z, 0.0)
+        return IpmResult(pt.x, lam, z[:k], z[k:], status, it, mu, stat, feas, comp, restorations, message)
 
     remember()
 
@@ -442,9 +448,8 @@ def _ipm(fn: _Funcs, opts: IpmOptions, x0, warm, elastic=False) -> IpmResult:
             if pt.viol <= max(opts.tol_feas, 1e-9):
                 # already feasible: the line search deadlocked, so recenter the
                 # duals and continue instead of running a full restoration
-                sl, su = pt.slacks
                 mu = max(mu * 10.0, 1e-6)
-                zl, zu = mu / sl, mu / su
+                z = mu / pt.slacks
                 rho = 1.0
                 continue
             if elastic or not np.isfinite(pt.viol):
@@ -453,41 +458,38 @@ def _ipm(fn: _Funcs, opts: IpmOptions, x0, warm, elastic=False) -> IpmResult:
             restorations += 1
             x, status, used = _restore(fn, pt, mu, opts, opts.max_iter - it)
             it += used
-            pt, (lam, zl, zu) = _Point(fn, x), zeros
+            pt, (lam, z) = _Point(fn, x), zeros
             remember()
             if status != "optimal":
                 message = "elastic restoration did not converge"
                 break
             if pt.viol > opts.tol_feas:
                 return finish("infeasible", "elastic restoration converged above tol_feas")
-            pt, lam, zl, zu, mu = start(x, None)
+            pt, lam, z, mu = start(x, None)
             rho = 1.0
             continue
 
-        stat, feas, comp0 = _kkt_errors(fn, pt, lam, zl, zu, 0.0)
+        stat, feas, comp0 = _kkt_errors(fn, pt, lam, z, 0.0)
         if stat <= opts.tol_stat and feas <= opts.tol_feas and comp0 <= opts.tol_comp:
             return finish("optimal", errors=(stat, feas, comp0))
 
         # Adaptive barrier: mu follows the actual complementarity gap, so the
         # central path is tracked without an outer loop that can stall.
-        x = pt.x
-        sl, su = pt.slacks
-        n_bounds = lb.size + ub.size
-        gap = float((zl * sl).sum()) + float((zu * su).sum())
-        mu = max(_SIGMA * gap / n_bounds, 1e-14) if n_bounds else 0.0
+        x, s = pt.x, pt.slacks
+        zs = z * s
+        # two partial sums, lower rows then upper rows: one sum over all rows
+        # rounds differently and changes the iterates
+        gap = float(zs[:k].sum()) + float(zs[k:].sum())
+        mu = max(_SIGMA * gap / z.size, 1e-14) if z.size else 0.0
 
         it += 1
 
         # Newton step on the perturbed KKT system, z eliminated.
-        sig = np.zeros(n)
-        sig[lb] += zl / sl
-        sig[ub] += zu / su
+        sig = fn.sigma(s, z)
         grad, jac, c = pt.g, pt.J, pt.c
         w = fn.hess(x, lam, 1.0)
 
-        r_x = grad + (jac.T @ lam if m else 0.0)
-        r_x[lb] -= mu / sl
-        r_x[ub] += mu / su
+        r_x = fn.scatter(grad + (jac.T @ lam if m else 0.0), mu / s)
         rhs = -np.concatenate([r_x, c])
 
         # Built once; each inertia trial rewrites only the diagonal, as
@@ -526,29 +528,25 @@ def _ipm(fn: _Funcs, opts: IpmOptions, x0, warm, elastic=False) -> IpmResult:
 
         dx = step[:n]
         dlam = step[n:] if m else np.zeros(0)
-        dzl = (mu - zl * dx[lb]) / sl - zl
-        dzu = (mu + zu * dx[ub]) / su - zu
+        ds = fn.sign * dx[fn.bound]  # the slacks' step
+        dz = (mu - z * ds) / s - z
 
         tau = min(max(_TAU_MIN, 1.0 - mu), 0.99995)
-        alpha_max = min(_max_step(sl, dx[lb], tau), _max_step(su, -dx[ub], tau))
-        alpha_z = min(_max_step(zl, dzl, tau), _max_step(zu, dzu, tau))
+        alpha_max = _max_step(s, ds, tau)
+        alpha_z = _max_step(z, dz, tau)
 
         # Acceptance 1: the full primal-dual step contracts the perturbed KKT
         # residual. A primal merit cannot see dual progress, so Newton steps
         # that mostly re-center the multipliers are accepted on the residual
         # itself (this is also what quadratic local convergence requires).
         # Stationarity and feasibility do not depend on mu.
-        err_before = max(stat, feas, _comp_error(pt, zl, zu, mu))
+        err_before = max(stat, feas, _comp_error(pt, z, mu))
         trial = _Point(fn, x + alpha_max * dx)
         lam_t = lam + alpha_max * dlam if m else lam
-        zl_t = zl + alpha_z * dzl
-        zu_t = zu + alpha_z * dzu
-        sl_t, su_t = trial.slacks
-        interior = bool(np.all(sl_t > 0.0) and np.all(su_t > 0.0))
+        z_t = z + alpha_z * dz
         if (
-            interior
-            and max(_kkt_errors(fn, trial, lam_t, zl_t, zu_t, mu))
-            <= (1.0 - 1e-4 * alpha_max) * err_before
+            np.all(trial.slacks > 0.0)
+            and max(_kkt_errors(fn, trial, lam_t, z_t, mu)) <= (1.0 - 1e-4 * alpha_max) * err_before
         ):
             pt, lam = trial, lam_t
         else:
@@ -586,13 +584,11 @@ def _ipm(fn: _Funcs, opts: IpmOptions, x0, warm, elastic=False) -> IpmResult:
             pt = cand
             lam = lam + alpha * dlam if m else lam
         # keep duals safely positive and bounded relative to mu (centrality guard)
-        sl, su = pt.slacks
-        sl, su = np.maximum(sl, 1e-300), np.maximum(su, 1e-300)
-        zl = np.clip(zl_t, mu / (1e10 * sl), 1e10 * mu / sl)
-        zu = np.clip(zu_t, mu / (1e10 * su), 1e10 * mu / su)
+        s = np.maximum(pt.slacks, 1e-300)
+        z = np.clip(z_t, mu / (1e10 * s), 1e10 * mu / s)
         remember()
 
     # iteration budget exhausted, restoration failed or a KKT matrix was not
     # finite: report the best point seen
-    pt, lam, zl, zu = best
+    pt, lam, z = best
     return finish("max_iter", message)

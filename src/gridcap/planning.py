@@ -11,6 +11,7 @@ recovered demand in $/MW for the investment narrative.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .model import ValidationError
@@ -29,6 +30,11 @@ class CaseSummary:
     load_served: float  # MW summed over hours
 
 
+def _require_positive(name: str, value: float):
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValidationError(f"{name} must be finite and positive, got {value}")
+
+
 def voll_cost(case3: CaseResult, voll_rate: float, dt: float = None) -> dict:
     """Per-bus expected cost of lost load, $: sum over hours of
     shed_MW(t) * voll_rate * dt. case3 must come from the OLD objective."""
@@ -36,9 +42,9 @@ def voll_cost(case3: CaseResult, voll_rate: float, dt: float = None) -> dict:
         raise ValidationError(
             f"voll_cost needs an optimal-load-delivery result, got {case3.case_id.value}"
         )
-    if voll_rate <= 0.0:
-        raise ValidationError("voll_rate must be positive")
+    _require_positive("voll_rate", voll_rate)
     dt = case3.dt if dt is None else dt
+    _require_positive("dt", dt)
     shed_mw = case3.shed_mw_by_bus()
     return {b: shed_mw[b] * voll_rate * dt for b in case3.bus_ids}
 
@@ -52,11 +58,13 @@ class PlanningInput:
     def __post_init__(self):
         if not self.cap_cost:
             raise ValidationError("candidate set is empty")
-        if self.voll_rate <= 0.0:
-            raise ValidationError("voll_rate must be positive")
+        _require_positive("voll_rate", self.voll_rate)
         for b, c in self.cap_cost.items():
-            if c < 0.0:
-                raise ValidationError(f"negative capacitor cost at bus {b}")
+            if not (math.isfinite(c) and c >= 0.0):
+                raise ValidationError(f"capacitor cost at bus {b} must be finite and >= 0, got {c}")
+        for b, c in self.c_voll.items():
+            if not math.isfinite(c):
+                raise ValidationError(f"VoLL cost at bus {b} must be finite, got {c}")
         missing = [b for b in self.cap_cost if b not in self.c_voll]
         if missing:
             raise ValidationError(f"no VoLL figure for candidate buses {missing}")

@@ -35,8 +35,8 @@ class ScoreWeights:
     w_v: float = 0.5
 
     def __post_init__(self):
-        if self.w_q < 0.0 or self.w_v < 0.0:
-            raise ValidationError(f"score weights must be nonnegative, got {self}")
+        if not all(np.isfinite(w) and w >= 0.0 for w in (self.w_q, self.w_v)):
+            raise ValidationError(f"score weights must be finite and nonnegative, got {self}")
         if abs(self.w_q + self.w_v - 1.0) > 1e-9:
             raise ValidationError(
                 f"score weights must sum to 1 within 1e-9, got {self.w_q + self.w_v}"

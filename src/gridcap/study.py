@@ -306,8 +306,8 @@ def run_four_case_study(
     options = options or SolverOptions()
     if top_m < 1:
         raise ValidationError(f"top_m must be >= 1, got {top_m}")
-    if cap_mvar <= 0.0:
-        raise ValidationError(f"cap_mvar must be positive, got {cap_mvar}")
+    if not (np.isfinite(cap_mvar) and cap_mvar > 0.0):
+        raise ValidationError(f"cap_mvar must be finite and positive, got {cap_mvar}")
     warnings = []
 
     stress = uniform_stress(network, stress_pf, stress_sign)

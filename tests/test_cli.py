@@ -174,6 +174,16 @@ class TestStudy:
         assert code == 1
         assert "top_m" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, name",
+        [(["--weights", "nan,0.5"], "weights"), (["--cap-mvar", "nan"], "cap_mvar")],
+    )
+    def test_non_finite_input_exits_1(self, tmp_path, capsys, flags, name):
+        out = tmp_path / "x"
+        assert main(["study", "--network", NET9, "--demand", DEM9, *flags, "--out", str(out)]) == 1
+        assert name in capsys.readouterr().err
+        assert not out.exists()
+
     def test_emitted_files_reparse(self, study_dir):
         # every artifact re-reads under the package's own readers
         for name in os.listdir(study_dir):
@@ -207,6 +217,19 @@ class TestPlan:
         )
         assert code == 1
         assert "42" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "cap_cost, voll, name",
+        [("7=600,6=700", "nan", "voll_rate"), ("7=600,6=700", "inf", "voll_rate"),
+         ("7=nan,6=700", "1000", "capacitor cost at bus 7")],
+    )
+    def test_non_finite_money_figure_exits_1(self, study_dir, tmp_path, capsys, cap_cost, voll, name):
+        out = tmp_path / "p.csv"
+        argv = ["plan", "--case3", study_dir, "--cap-cost", cap_cost, "--voll", voll, "--out", str(out)]
+        assert main(argv) == 1
+        assert name in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestReport:

@@ -390,7 +390,7 @@ def test_cold_opf_solve_evaluates_each_point_once(microgrid9, monkeypatch, hour)
     assert_each_point_evaluated_once(seen, res)
 
 
-# -- bound index arrays against the full-length mask form ----------------------
+# -- the stacked bound rows against the full-length mask form -----------------
 
 
 def reference_max_step(x, dx, lo, hi, tau):
@@ -424,6 +424,21 @@ def reference_barrier(x, lo, hi, mu):
     return value, g
 
 
+def reference_interior(x, lo, hi, push):
+    """The start clip over lower/upper masks: inside a two-sided box by push
+    times its width, inside a one-sided bound by push * max(1, |bound|)."""
+    has_lb, has_ub = np.isfinite(lo), np.isfinite(hi)
+    x = x.copy()
+    both = has_lb & has_ub
+    pad = push * (hi[both] - lo[both])
+    x[both] = np.clip(x[both], lo[both] + pad, hi[both] - pad)
+    only_lb = has_lb & ~has_ub
+    x[only_lb] = np.maximum(x[only_lb], lo[only_lb] + push * np.maximum(1.0, np.abs(lo[only_lb])))
+    only_ub = has_ub & ~has_lb
+    x[only_ub] = np.minimum(x[only_ub], hi[only_ub] - push * np.maximum(1.0, np.abs(hi[only_ub])))
+    return x
+
+
 def random_boxes():
     """Seeded (lower, upper, x, dx): bounds mixing finite values and +-inf, x
     strictly inside, and dx with exact zeros."""
@@ -450,16 +465,62 @@ def box_funcs(lo, hi):
     return _Funcs(NlpProblem(lo.copy(), lo, hi, 0, None, None, None, None, None))
 
 
+def mask_slacks(x, lo, hi):
+    has_lb, has_ub = np.isfinite(lo), np.isfinite(hi)
+    return (x - lo)[has_lb], (hi - x)[has_ub]
+
+
 def test_max_step_matches_mask_form():
     cases = list(random_boxes())
     cases.append((np.full(3, -np.inf), np.full(3, np.inf), np.zeros(3), np.ones(3)))
     for lo, hi, x, dx in cases:
         fn = box_funcs(lo, hi)
-        sl, su = fn.slacks(x)
+        s = fn.slacks(x)
+        assert s.tobytes() == np.concatenate(mask_slacks(x, lo, hi)).tobytes()
         for tau in (0.99, 0.99995, 1.0):
             # the multipliers' rule on the slacks is the primal step
-            alpha = min(_max_step(sl, dx[fn.lb], tau), _max_step(su, -dx[fn.ub], tau))
-            assert alpha == reference_max_step(x, dx, lo, hi, tau)
+            assert _max_step(s, fn.sign * dx[fn.bound], tau) == reference_max_step(x, dx, lo, hi, tau)
+
+
+def test_scatter_and_sigma_match_mask_form():
+    # A box-bounded variable has two rows on one index: a fancy-index
+    # r[bound] -= w would keep only one of its two updates.
+    rng = np.random.default_rng(5)
+    saw_box = False
+    for lo, hi, x, dx in random_boxes():
+        fn = box_funcs(lo, hi)
+        has_lb, has_ub = np.isfinite(lo), np.isfinite(hi)
+        saw_box |= np.any(has_lb & has_ub)
+        z_lower, z_upper = rng.uniform(1e-8, 5.0, (2, x.size))
+        z = np.where(fn.side == 0, z_lower[fn.bound], z_upper[fn.bound])
+        # stationarity: r - z_lower + z_upper over the finite bounds
+        r = rng.standard_normal(x.size)
+        want = r.copy()
+        want[has_lb] -= z_lower[has_lb]
+        want[has_ub] += z_upper[has_ub]
+        assert fn.scatter(r.copy(), z).tobytes() == want.tobytes()
+        # sigma: z_lower / (x - l) + z_upper / (u - x)
+        sl, su = mask_slacks(x, lo, hi)
+        want = np.zeros(x.size)
+        want[has_lb] += z_lower[has_lb] / sl
+        want[has_ub] += z_upper[has_ub] / su
+        assert fn.sigma(fn.slacks(x), z).tobytes() == want.tobytes()
+    assert saw_box
+
+
+@pytest.mark.parametrize("push", [1e-2, 1e-6])
+def test_interior_matches_mask_form(push):
+    clipped = 0
+    for k, (lo, hi, x, dx) in enumerate(random_boxes()):
+        fn = box_funcs(lo, hi)
+        # every other point steps through the box, so both sides get clipped
+        y = x + 10.0 * dx if k % 2 else x
+        want = reference_interior(y, lo, hi, push)
+        got = fn.interior(y, push)
+        assert got.tobytes() == want.tobytes()
+        assert np.all(fn.slacks(got) > 0.0)
+        clipped += int(np.count_nonzero(got != y))
+    assert clipped > 100
 
 
 def test_barrier_value_and_grad_match_mask_form():

@@ -94,6 +94,17 @@ class TestVollCost:
         with pytest.raises(ValidationError, match="optimal-load-delivery"):
             voll_cost(study9.case(1), voll_rate=1000.0)
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), 0.0, -5.0])
+    def test_voll_rate_must_be_finite_and_positive(self, rate):
+        case = fake_old_result((1,), [[4.0]])
+        with pytest.raises(ValidationError, match="voll_rate"):
+            voll_cost(case, voll_rate=rate)
+
+    def test_non_finite_dt_rejected(self):
+        case = fake_old_result((1,), [[4.0]])
+        with pytest.raises(ValidationError, match="dt"):
+            voll_cost(case, voll_rate=1000.0, dt=float("nan"))
+
     def test_fixture_case3_accumulates_shed(self, study9):
         costs = voll_cost(study9.case(3), voll_rate=1000.0)
         assert sum(costs.values()) == pytest.approx(study9.case(3).load_shed * 1000.0, rel=1e-9)
@@ -176,6 +187,15 @@ class TestPlan:
     def test_empty_candidates_rejected(self):
         with pytest.raises(ValidationError, match="empty"):
             PlanningInput(cap_cost={}, c_voll={}, voll_rate=1.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_money_figures_rejected(self, bad):
+        with pytest.raises(ValidationError, match="voll_rate"):
+            PlanningInput(cap_cost={1: 5.0}, c_voll={1: 1.0}, voll_rate=bad)
+        with pytest.raises(ValidationError, match="capacitor cost at bus 1"):
+            PlanningInput(cap_cost={1: bad}, c_voll={1: 1.0}, voll_rate=1.0)
+        with pytest.raises(ValidationError, match="VoLL cost at bus 2"):
+            PlanningInput(cap_cost={1: 5.0}, c_voll={1: 1.0, 2: bad}, voll_rate=1.0)
 
     def test_missing_voll_figure_rejected(self):
         with pytest.raises(ValidationError, match="VoLL"):

@@ -179,6 +179,11 @@ class TestCompositeScore:
         with pytest.raises(ValidationError):
             ScoreWeights(-0.1, 1.1)
 
+    @pytest.mark.parametrize("w", [(float("nan"), 0.5), (0.5, float("nan")), (float("inf"), 0.0)])
+    def test_non_finite_weight_rejected(self, w):
+        with pytest.raises(ValidationError, match="finite"):
+            ScoreWeights(*w)
+
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValidationError):
             ScoreWeights(0.5, 0.6)

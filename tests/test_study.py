@@ -384,6 +384,16 @@ class TestFourCaseStudy:
         with pytest.raises(ValidationError):
             run_four_case_study(net, demand, cap_mvar=0.0)
 
+    @pytest.mark.parametrize("cap_mvar", [float("nan"), float("inf")])
+    def test_non_finite_cap_mvar_rejected_before_any_case(self, microgrid9, monkeypatch, cap_mvar):
+        def no_case(*args, **kwargs):
+            raise AssertionError("a case ran")
+
+        monkeypatch.setattr(study, "run_case", no_case)
+        net, demand = microgrid9
+        with pytest.raises(ValidationError, match="cap_mvar"):
+            run_four_case_study(net, demand, cap_mvar=cap_mvar)
+
     def test_determinism(self, microgrid9, study9):
         net, demand = microgrid9
         again = run_four_case_study(net, demand)
