@@ -18,9 +18,9 @@ bound multipliers are nonnegative.
 The optimal-load-delivery (OLD) objective adds one shed fraction s_k in
 [0, 1] per load bus, scaling that bus's P and Q demand at constant power
 factor, penalized at voll_rate dollars per shed MWh so that shedding is a
-lexicographic last resort. A structure places s_k at each island bus with
-positive P demand in some hour it was built from; in an hour where that
-bus has no P demand, s_k is pinned (bounds [0, 0]) and scales nothing.
+lexicographic last resort. A structure places s_k at every island bus; in
+an hour where that bus has no P demand, s_k is pinned (bounds [0, 0]) and
+scales nothing, and the solver drops it from the NLP it solves.
 """
 
 from __future__ import annotations
@@ -77,15 +77,13 @@ class SolverOptions:
 
 class OpfStructure:
     """The part of an AC-OPF that is the same in every hour of a case
-    (island order, per-unit).
-
-    p_d is MW demand per network bus, one row (n_bus,) or one per hour
-    (hours, n_bus); under OLD a shed variable goes at each island bus whose
-    P demand is positive in some row. Its arrays are read-only, so the hours
-    bound to one structure may be solved concurrently.
+    (island order, per-unit). It depends only on the network and the
+    objective: under OLD there is one shed variable per island bus, and each
+    hour pins the ones at buses without P demand. Its arrays are read-only,
+    so the hours bound to one structure may be solved concurrently.
     """
 
-    def __init__(self, network: Network, objective: Objective, p_d):
+    def __init__(self, network: Network, objective: Objective):
         net = self.network = network
         self.objective = objective
         s = net.s_base
@@ -97,6 +95,9 @@ class OpfStructure:
         self.inj_model = InjectionModel(ymat.g, ymat.b)
         self.slack_pos = next(i for i, b in enumerate(island) if net.bus(b).kind.value == "slack")
         self.nonslack = np.array([i for i in range(n) if i != self.slack_pos], dtype=int)
+        # default voltage limits per network bus, for hours without overrides
+        self.v_min = np.array([b.v_min for b in net.buses])
+        self.v_max = np.array([b.v_max for b in net.buses])
 
         self.gens = net.generators
         if not self.gens:
@@ -112,12 +113,8 @@ class OpfStructure:
         self.c1 = np.array([g.c1 for g in self.gens])
         self.c0 = np.array([g.c0 for g in self.gens])
 
-        if objective is Objective.OPTIMAL_LOAD_DELIVERY:
-            loads = np.atleast_2d(np.asarray(p_d, dtype=float))[:, self.full_idx] / s
-            self.shed_pos = np.flatnonzero((loads > 0.0).any(axis=0))
-        else:
-            self.shed_pos = np.zeros(0, dtype=int)
-        self.ns = ns = len(self.shed_pos)
+        self.ns = ns = n if objective is Objective.OPTIMAL_LOAD_DELIVERY else 0
+        self.shed_pos = np.arange(ns)
 
         # variable layout: [theta (non-slack), v, pg, qg, s]
         ends = list(itertools.accumulate((n - 1, n, ng, ng, ns), initial=0))
@@ -164,10 +161,10 @@ class OpfProblem:
     """AC-OPF instance for a single timestep. Demand in MW/Mvar per network bus.
 
     The hour's data is bound to `structure`, one built from this problem's
-    own network, objective and p_d when none is given. A given structure
-    must be for the same network and objective and, under OLD, have a shed
-    variable at every bus with positive P demand. Structure attributes (n,
-    gens, pg_max, shed_pos, ...) read through the problem.
+    own network and objective when none is given; a given structure must be
+    for the same network and objective. Under OLD, shed_live is 0.0 at each
+    bus without P demand, pinning its shed variable at 0. Structure
+    attributes (n, gens, pg_max, shed_pos, ...) read through the problem.
     """
 
     network: Network
@@ -184,6 +181,11 @@ class OpfProblem:
 
     def __post_init__(self):
         net = self.network
+        st = self.structure
+        if st is None:
+            st = self.structure = OpfStructure(net, self.objective)
+        elif st.network is not net or st.objective is not self.objective:
+            raise ValidationError("structure is for another network or objective")
         n = net.n_bus
 
         def as_bus_array(arr, name, default):
@@ -207,18 +209,13 @@ class OpfProblem:
             raise ValidationError("p_d must be >= 0 (true demand); model injections via p_inj")
         if not (np.isfinite(self.p_d).all() and np.isfinite(self.q_d).all()):
             raise ValidationError("demand must be finite")
-        self.v_min = as_bus_array(self.v_min, "v_min", np.array([b.v_min for b in net.buses]))
-        self.v_max = as_bus_array(self.v_max, "v_max", np.array([b.v_max for b in net.buses]))
+        self.v_min = as_bus_array(self.v_min, "v_min", st.v_min)
+        self.v_max = as_bus_array(self.v_max, "v_max", st.v_max)
         if np.any(self.v_min > self.v_max):
             raise ValidationError("v_min override exceeds v_max")
         if self.dt <= 0.0:
             raise ValidationError("dt must be positive")
 
-        st = self.structure
-        if st is None:
-            st = self.structure = OpfStructure(net, self.objective, self.p_d)
-        elif st.network is not net or st.objective is not self.objective:
-            raise ValidationError("structure is for another network or objective")
         used = (self.p_d != 0.0) | (self.q_d != 0.0) | (self.p_inj != 0.0) | (self.q_inj != 0.0)
         used[st.full_idx] = False
         outside = [net.bus_ids[i] for i in np.flatnonzero(used)]
@@ -233,11 +230,7 @@ class OpfProblem:
         self.q_fix = self.q_inj[idx] / s
         self.vmin = self.v_min[idx]
         self.vmax = self.v_max[idx]
-        live = self.p_load[st.shed_pos] > 0.0
-        old = self.objective is Objective.OPTIMAL_LOAD_DELIVERY
-        if old and np.count_nonzero(live) < np.count_nonzero(self.p_load > 0.0):
-            raise ValidationError("P demand at a bus with no shed variable in the structure")
-        self.shed_live = live.astype(float)  # 0.0 pins a shed variable at 0
+        self.shed_live = (self.p_load[st.shed_pos] > 0.0).astype(float)  # 0.0 pins at 0
 
     def __getattr__(self, name):
         structure = self.__dict__.get("structure")
@@ -248,7 +241,8 @@ class OpfProblem:
     def _balance(self, v, theta, p_g, q_g, shed):
         """Per-unit power-balance residuals (dP, dQ) per island bus: generation
         minus effective demand (after shedding and fixed injections) minus
-        network injection. shed has one entry per shed variable."""
+        network injection. shed has one entry per shed variable (none under
+        ECONOMIC, one per island bus under OLD)."""
         st = self.structure
         keep = np.ones(st.n)
         keep[st.shed_pos] -= shed * self.shed_live
@@ -265,7 +259,9 @@ class OpfProblem:
 
         dP_i = sum of generation at i minus effective demand minus network
         injection; PV and shunt reactive contributions enter through the
-        fixed-injection arrays and the admittance diagonal respectively.
+        fixed-injection arrays and the admittance diagonal respectively. shed
+        is a fraction per island bus, or None for no shedding; it scales
+        demand under OLD only.
         """
         st = self.structure
         v = np.asarray(v, dtype=float)
@@ -276,12 +272,18 @@ class OpfProblem:
         q_g = np.asarray(q_g_mvar, dtype=float) / self.network.s_base
         if p_g.shape != (st.ng,) or q_g.shape != (st.ng,):
             raise ValidationError(f"expected {st.ng} generator set-points")
-        shed_v = np.zeros(st.ns) if shed is None else np.asarray(shed, dtype=float)
-        if shed_v.shape == (st.n,):  # full length, else one entry per shed variable
-            shed_v = shed_v[st.shed_pos]
-        elif shed_v.shape != (st.ns,):
-            raise ValidationError("shed vector has wrong length")
-        return self._balance(v, theta, p_g, q_g, shed_v)
+        return self._balance(v, theta, p_g, q_g, self._shed_vars(shed))
+
+    def _shed_vars(self, shed):
+        """The shed variables' values from a fraction per island bus (None:
+        all zero)."""
+        st = self.structure
+        if shed is None:
+            return np.zeros(st.ns)
+        shed = np.asarray(shed, dtype=float)
+        if shed.shape != (st.n,):
+            raise ValidationError(f"shed vector must have one entry per island bus ({st.n})")
+        return shed[st.shed_pos]
 
     def shed_fractions_full(self, shed_vars):
         out = np.zeros(self.structure.n)
@@ -291,16 +293,14 @@ class OpfProblem:
 
 def objective_cost(p_g_mw, problem: OpfProblem, shed=None) -> float:
     """Objective value in $: generation cost, plus the shed-energy penalty
-    (voll_rate * s_k * P_Dk * dt) under optimal load delivery."""
+    (voll_rate * s_k * P_Dk * dt) under optimal load delivery. shed is a
+    fraction per island bus, or None for no shedding."""
     st = problem.structure
     p_g_mw = np.asarray(p_g_mw, dtype=float)
     total = sum(g.cost(p) for g, p in zip(st.gens, p_g_mw))
-    if problem.objective is Objective.OPTIMAL_LOAD_DELIVERY and shed is not None:
-        shed = np.asarray(shed, dtype=float)
-        if shed.shape == (st.n,):
-            shed = shed[st.shed_pos]
-        p_shed_mw = shed * problem.p_load[st.shed_pos] * problem.network.s_base
-        total += problem.options.voll_rate * float(p_shed_mw.sum()) * problem.dt
+    shed = problem._shed_vars(shed)
+    p_shed_mw = shed * problem.p_load[st.shed_pos] * problem.network.s_base
+    total += problem.options.voll_rate * float(p_shed_mw.sum()) * problem.dt
     return float(total)
 
 
@@ -328,7 +328,7 @@ class OpfSolution:
     mu_pg_min: np.ndarray
     mu_qg_max: np.ndarray
     mu_qg_min: np.ndarray
-    mu_shed_max: np.ndarray  # per island bus, zeros where no shed variable
+    mu_shed_max: np.ndarray  # per island bus, zeros unless OLD
     mu_shed_min: np.ndarray
     mismatch: np.ndarray  # per-bus max(|dP|, |dQ|), p.u.
     objective_value: float  # $, per the problem objective
@@ -454,7 +454,7 @@ def _flat_start(problem: OpfProblem):
 
 def _solution_point(problem: OpfProblem, sol: OpfSolution):
     """(x, lam, z_lower, z_upper) of sol in problem's NLP variable layout, in
-    true (unscaled) units. Shed multipliers are read at problem's shed buses."""
+    true (unscaled) units."""
     st = problem.structure
     if tuple(sol.bus_ids) != st.island_bus_ids:
         raise ValidationError("solution is for a different island")
@@ -481,12 +481,11 @@ def solve(problem: OpfProblem, warm_start: OpfSolution = None) -> OpfSolution:
 
     The run starts flat, or from warm_start's whole primal-dual point: its
     voltages, dispatch and shed fractions, its balance multipliers and its
-    voltage, generator and shed bound multipliers (shed ones read at this
-    problem's shed buses). A warm run starts near that point and floors the
-    carried bound multipliers at 1e-6 / slack, so its first barrier parameter
-    follows their complementarity products. Whatever status it ends with is
-    returned; there is no second attempt, so `iterations` counts every
-    iteration spent.
+    voltage, generator and shed bound multipliers. A warm run starts near
+    that point and floors the carried bound multipliers at 1e-6 / slack, so
+    its first barrier parameter follows their complementarity products.
+    Whatever status it ends with is returned; there is no second attempt, so
+    `iterations` counts every iteration spent.
     """
     pr, st = problem, problem.structure
     f_scale = st.f_scale
@@ -517,7 +516,8 @@ def solve(problem: OpfProblem, warm_start: OpfSolution = None) -> OpfSolution:
 
     p_g_mw = pg * s
     q_g_mvar = qg * s
-    dp, dq = pr.residuals(v, theta, p_g_mw, q_g_mvar, sh)
+    shed = pr.shed_fractions_full(sh)
+    dp, dq = pr.residuals(v, theta, p_g_mw, q_g_mvar, shed)
     mismatch = np.maximum(np.abs(dp), np.abs(dq))
 
     return OpfSolution(
@@ -528,7 +528,7 @@ def solve(problem: OpfProblem, warm_start: OpfSolution = None) -> OpfSolution:
         theta=theta.copy(),
         p_g=p_g_mw,
         q_g=q_g_mvar,
-        shed=pr.shed_fractions_full(sh),
+        shed=shed,
         lambda_p=lam_true[:n].copy(),
         lambda_q=lam_true[n:].copy(),
         mu_v_max=zu[st.sl_v].copy(),
@@ -540,7 +540,7 @@ def solve(problem: OpfProblem, warm_start: OpfSolution = None) -> OpfSolution:
         mu_shed_max=pr.shed_fractions_full(zu[st.sl_s]),
         mu_shed_min=pr.shed_fractions_full(zl[st.sl_s]),
         mismatch=mismatch,
-        objective_value=objective_cost(p_g_mw, pr, sh if st.ns else None),
+        objective_value=objective_cost(p_g_mw, pr, shed),
         solver_objective=value_fn(res.x),
         iterations=res.iterations,
         mu_final=res.mu,

@@ -6,9 +6,9 @@ Handles problems of the form
 
 with logarithmic barriers on the bounds, Newton steps on the perturbed KKT
 system, fraction-to-boundary stepping, an l1-penalty line search and, where
-that fails away from feasibility, an elastic restoration by the same loop:
-min ||c(x)||_1 over the box, which either restores feasibility or certifies
-local infeasibility. Multipliers for the equalities (lam) and bounds
+a step fails, an elastic restoration by the same loop: min ||c(x)||_1 over
+the box, which either restores feasibility or certifies local
+infeasibility. Multipliers for the equalities (lam) and bounds
 (z_lower / z_upper) are first-class outputs.
 
 The barrier parameter is adaptive: each iteration re-centers at
@@ -367,10 +367,12 @@ def solve_nlp(prob: NlpProblem, opts: IpmOptions = None, warm=None) -> IpmResult
     the mean multiplier-slack product: 0.01 cold, at least 1e-7 warm and
     more where the carried multipliers times the new slacks are larger.
 
-    When the line search fails away from feasibility, _restore solves the
-    elastic l1 problem. If it reaches tol_feas the solve resumes, cold, from
-    its x. If it converges above tol_feas the status is "infeasible", and the
-    result is the elastic point itself, with its l1-minimal violation and no
+    When a step fails (the line search, or every inertia trial), _restore
+    solves the elastic l1 problem; where c is not finite the solve ends
+    instead, "max_iter" with the message "line search failed". If the
+    elastic solve reaches tol_feas the solve resumes, cold, from its x. If
+    it converges above tol_feas the status is "infeasible", and the result
+    is the elastic point itself, with its l1-minimal violation and no
     multipliers (all zero). If it runs out of iterations the status is
     "max_iter".
 
@@ -408,8 +410,8 @@ def _ipm(fn: _Funcs, opts: IpmOptions, x0, warm, elastic=False) -> IpmResult:
     start, mu, the barrier Hessian sigma = z / s, the Newton right-hand side
     and dz, the fraction-to-boundary steps and the dual clip. The result is
     on the free variables, z split at fn.n_lower into z_lower and z_upper.
-    The elastic solve itself (elastic=True) ends at a line-search failure
-    instead of restoring."""
+    The elastic solve itself (elastic=True) ends at a step failure instead
+    of restoring."""
     k, m, n = fn.n_lower, fn.m, fn.n
     zeros = (np.zeros(m), np.zeros(fn.bound.size))  # lam, z
 
@@ -445,13 +447,6 @@ def _ipm(fn: _Funcs, opts: IpmOptions, x0, warm, elastic=False) -> IpmResult:
     while it < opts.max_iter:
         if need_restore:
             need_restore = False
-            if pt.viol <= max(opts.tol_feas, 1e-9):
-                # already feasible: the line search deadlocked, so recenter the
-                # duals and continue instead of running a full restoration
-                mu = max(mu * 10.0, 1e-6)
-                z = mu / pt.slacks
-                rho = 1.0
-                continue
             if elastic or not np.isfinite(pt.viol):
                 message = "line search failed"
                 break  # no nested restoration, and no elastic problem at a non-finite c
@@ -493,14 +488,12 @@ def _ipm(fn: _Funcs, opts: IpmOptions, x0, warm, elastic=False) -> IpmResult:
         rhs = -np.concatenate([r_x, c])
 
         # Built once; each inertia trial rewrites only the diagonal, as
-        # w + diag(sig) + delta_w*I and -delta_c*I. Off the diagonal the w block
-        # holds w + 0.0 and the constraint block -0.0: the bits those sums give.
+        # w + diag(sig) + delta_w*I and -delta_c*I.
         kkt = np.zeros((n + m, n + m))
-        np.add(w, 0.0, out=kkt[:n, :n])
+        kkt[:n, :n] = w
         if m:
             kkt[:n, n:] = jac.T
             kkt[n:, :n] = jac
-            kkt[n:, n:] = -0.0
         diag = kkt.reshape(-1)[:: n + m + 1]
         w_sig = w.diagonal() + sig
         scale = max(1.0, float(np.abs(w).max(initial=0.0)))
@@ -573,11 +566,6 @@ def _ipm(fn: _Funcs, opts: IpmOptions, x0, warm, elastic=False) -> IpmResult:
                 if alpha < 1e-12:
                     break
                 cand = _Point(fn, x + alpha * dx)
-            if not accepted and alpha_max * float(np.abs(dx).max(initial=0.0)) <= 1e-14 * max(
-                1.0, float(np.abs(x).max(initial=0.0))
-            ):
-                alpha, cand = alpha_max, trial
-                accepted = True
             if not accepted:
                 need_restore = True
                 continue

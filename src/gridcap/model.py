@@ -214,18 +214,19 @@ class Network:
 
     # -- topology ----------------------------------------------------------
 
-    def adjacency(self, closed_only: bool = True) -> dict:
+    def adjacency(self) -> dict:
+        """Neighbours of each bus over the closed branches."""
         adj = {b.id: set() for b in self.buses}
         for br in self.branches:
-            if closed_only and not br.closed:
+            if not br.closed:
                 continue
             adj[br.from_bus].add(br.to_bus)
             adj[br.to_bus].add(br.from_bus)
         return adj
 
-    def connected_components(self, closed_only: bool = True) -> list:
-        """Connected components over the (closed-) branch graph, as sets of bus ids."""
-        adj = self.adjacency(closed_only)
+    def connected_components(self) -> list:
+        """Connected components over the closed-branch graph, as sets of bus ids."""
+        adj = self.adjacency()
         seen: set = set()
         comps = []
         for bus in self.buses:

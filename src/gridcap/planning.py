@@ -102,14 +102,13 @@ class PlanningDecision:
     c_voll: dict
     objective: float  # $ over the candidate set
     uncovered_voll: float  # $ of VoLL at non-candidate buses, reported separately
-    comparison: ComparisonBlock = None
 
     @property
     def installed_buses(self) -> tuple:
         return tuple(sorted(b for b, x in self.install.items() if x))
 
 
-def plan(inp: PlanningInput, comparison: ComparisonBlock = None) -> PlanningDecision:
+def plan(inp: PlanningInput) -> PlanningDecision:
     """Threshold rule: install at bus k iff c_cap(k) < c_voll(k); ties
     (within 1e-9) resolve to no install. The separable objective equals
     sum over candidates of min(c_cap, c_voll)."""
@@ -127,7 +126,6 @@ def plan(inp: PlanningInput, comparison: ComparisonBlock = None) -> PlanningDeci
         c_voll={b: inp.c_voll[b] for b in inp.cap_cost},
         objective=objective,
         uncovered_voll=float(uncovered),
-        comparison=comparison,
     )
 
 

@@ -6,8 +6,8 @@ Case 3 answers the stress with optimal load delivery (corrective
 shedding); Case 4 answers it with shunt capacitors at the top-ranked buses
 and reruns the economic objective. Each case builds one OpfStructure
 (island, layout, generator data, bounds; under OLD a shed variable at each
-bus loaded in some valid hour) and binds each hour's demand, PV injection
-and dt to it as data. Hours are solved in sequence, each warm-started from
+island bus) and binds each hour's demand, PV injection and dt to it as
+data. Hours are solved in sequence, each warm-started from
 the previous optimal hour's whole primal-dual point (voltages, dispatch,
 shed fractions, balance and bound multipliers) with one solve and no cold
 fallback; hours flagged invalid in the demand series are skipped and
@@ -157,8 +157,8 @@ def _hour_injections(net: Network, hour: int, pf_overrides) -> tuple:
 
 def run_case(scenario: Scenario, network: Network, demand: DemandSeries) -> CaseResult:
     """Solve one case hour by hour and aggregate. The case's OpfStructure is
-    built once, its shed layout from all valid hours, and each valid hour is
-    bound to it as data. Each valid hour is one solve, warm-started from the
+    built once from the network and objective, and each valid hour is bound
+    to it as data. Each valid hour is one solve, warm-started from the
     previous optimal hour's primal-dual point (flat before the first); a
     non-optimal hour is reported as it ended."""
     net = network.with_shunts(scenario.capacitors) if scenario.capacitors else network
@@ -174,7 +174,7 @@ def run_case(scenario: Scenario, network: Network, demand: DemandSeries) -> Case
     cols = [demand.bus_column(b) for b in net.bus_ids if b in demand.bus_ids]
     p_d, q_d = np.zeros((2, horizon, net.n_bus))
     p_d[:, on], q_d[:, on] = demand.p_mw[:, cols], demand.q_mvar[:, cols]
-    structure = OpfStructure(net, scenario.objective, p_d[sorted(valid)])
+    structure = OpfStructure(net, scenario.objective)
 
     outcomes = []
     sens = []
@@ -308,6 +308,10 @@ def run_four_case_study(
         raise ValidationError(f"top_m must be >= 1, got {top_m}")
     if not (np.isfinite(cap_mvar) and cap_mvar > 0.0):
         raise ValidationError(f"cap_mvar must be finite and positive, got {cap_mvar}")
+    if not (0.0 < stress_pf <= 1.0):  # nan fails too
+        raise ValidationError(f"stress_pf must be in (0, 1], got {stress_pf}")
+    if not network.pv_units:
+        raise ValidationError("network has no PV units for Case 2 to stress")
     warnings = []
 
     stress = uniform_stress(network, stress_pf, stress_sign)

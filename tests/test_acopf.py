@@ -119,7 +119,7 @@ class TestResiduals:
         with pytest.raises(ValidationError, match="generator set-points"):
             base_problem.residuals(np.ones(2), np.zeros(2), np.zeros(2), np.zeros(2))
 
-    def test_shed_vector_full_length_or_compact(self, two_bus):
+    def test_shed_vector_is_one_per_island_bus(self, two_bus):
         net, _ = two_bus
         prob = OpfProblem(
             network=net,
@@ -127,18 +127,20 @@ class TestResiduals:
             q_d=np.array([0.0, 1.5]),
             objective=Objective.OPTIMAL_LOAD_DELIVERY,
         )
-        assert prob.ns == 1 and prob.n == 2  # only bus 2 can shed
+        assert prob.ns == 2 and prob.n == 2  # a shed variable per island bus
+        assert list(prob.shed_live) == [0.0, 1.0]  # only bus 2 can shed
         state = (np.ones(2), np.zeros(2), np.array([2.0]), np.array([0.7]))
-        compact = prob.residuals(*state, shed=np.array([0.5]))
-        full = prob.residuals(*state, shed=np.array([0.0, 0.5]))
+        shed = prob.residuals(*state, shed=np.array([0.0, 0.5]))
+        idle = prob.residuals(*state, shed=np.array([0.9, 0.5]))
         unshed = prob.residuals(*state)
-        for a, b in zip(compact, full):
+        for a, b in zip(shed, idle):  # a pinned variable scales nothing
             assert np.array_equal(a, b)
         # half of bus 2's 0.4 p.u. load and 0.15 p.u. Q is no longer drawn
-        np.testing.assert_allclose(compact[0] - unshed[0], [0.0, 0.2], atol=1e-15)
-        np.testing.assert_allclose(compact[1] - unshed[1], [0.0, 0.075], atol=1e-15)
-        with pytest.raises(ValidationError, match="shed vector"):
-            prob.residuals(*state, shed=np.zeros(3))
+        np.testing.assert_allclose(shed[0] - unshed[0], [0.0, 0.2], atol=1e-15)
+        np.testing.assert_allclose(shed[1] - unshed[1], [0.0, 0.075], atol=1e-15)
+        for wrong in (np.zeros(3), np.array([0.5])):
+            with pytest.raises(ValidationError, match="shed vector"):
+                prob.residuals(*state, shed=wrong)
 
 
 class TestObjectiveCost:

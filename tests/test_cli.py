@@ -176,7 +176,11 @@ class TestStudy:
 
     @pytest.mark.parametrize(
         "flags, name",
-        [(["--weights", "nan,0.5"], "weights"), (["--cap-mvar", "nan"], "cap_mvar")],
+        [
+            (["--weights", "nan,0.5"], "weights"),
+            (["--cap-mvar", "nan"], "cap_mvar"),
+            (["--stress-pf", "nan"], "stress_pf"),
+        ],
     )
     def test_non_finite_input_exits_1(self, tmp_path, capsys, flags, name):
         out = tmp_path / "x"

@@ -113,10 +113,10 @@ def test_restore_reaches_feasibility():
         assert _Point(fn, x).viol <= opts.tol_feas
 
 
-def test_solve_resumes_after_a_successful_restoration(monkeypatch):
-    # every Newton step of the main loop fails until the elastic solve (which
-    # has two more variables) has run, so the solve must restore feasibility
-    # and then go on to the optimum
+def solve_failing_until_restored(monkeypatch, x0):
+    """solve_nlp on nonconvex_problem from x0, with every Newton step of the
+    main loop failing until the elastic solve (which has two more variables)
+    has run. Returns the result and the size of each KKT system tried."""
     real_solve_kkt = ipm._solve_kkt
     sizes = []
 
@@ -127,7 +127,25 @@ def test_solve_resumes_after_a_successful_restoration(monkeypatch):
         return real_solve_kkt(kkt, rhs, n, m)
 
     monkeypatch.setattr(ipm, "_solve_kkt", failing_until_restored)
-    r = solve_nlp(dataclasses.replace(nonconvex_problem(), x0=np.array([0.3, 0.4])))
+    return solve_nlp(dataclasses.replace(nonconvex_problem(), x0=x0)), sizes
+
+
+def test_solve_resumes_after_a_successful_restoration(monkeypatch):
+    # the solve must restore feasibility and then go on to the optimum
+    r, sizes = solve_failing_until_restored(monkeypatch, np.array([0.3, 0.4]))
+    assert 4 in sizes
+    assert r.status == "optimal" and r.restorations == 1
+    np.testing.assert_allclose(r.x, [1.0, 1.0], atol=1e-6)
+
+
+def test_step_failure_at_a_feasible_point_goes_to_restoration(monkeypatch):
+    # the start is on the circle, so every failed step of the main loop is at
+    # a feasible point; the elastic solve is run all the same, and the solve
+    # goes on from its point to the optimum
+    x0 = np.array([0.6, np.sqrt(1.64)])
+    fn = _Funcs(nonconvex_problem())
+    assert _Point(fn, fn.interior(x0)).viol <= 1e-12
+    r, sizes = solve_failing_until_restored(monkeypatch, x0)
     assert 4 in sizes
     assert r.status == "optimal" and r.restorations == 1
     np.testing.assert_allclose(r.x, [1.0, 1.0], atol=1e-6)

@@ -283,7 +283,6 @@ class TestCaseStructure:
         assert sol.shed[k] == 0.0 and sol.mu_shed_max[k] == 0.0 and sol.mu_shed_min[k] == 0.0
         assert sol.shed.max() > 1e-2  # another bus sheds instead
         alone = standalone(problem)
-        assert k not in alone.structure.shed_pos
         assert acopf.solve(problem).objective_value == pytest.approx(
             acopf.solve(alone).objective_value, rel=1e-9
         )
@@ -294,11 +293,26 @@ class TestCaseStructure:
         old = hour_problem(net, demand, 12, acopf.Objective.OPTIMAL_LOAD_DELIVERY)
         with pytest.raises(ValidationError, match="another network or objective"):
             dataclasses.replace(old, structure=econ.structure)
-        idle = acopf.OpfStructure(net, acopf.Objective.OPTIMAL_LOAD_DELIVERY, np.zeros(net.n_bus))
-        with pytest.raises(ValidationError, match="no shed variable"):
-            dataclasses.replace(old, structure=idle)
         with pytest.raises(ValueError):
             econ.structure.pg_max[0] = 0.0  # read-only: hours may share it
+
+    def test_structure_binds_load_at_a_bus_idle_in_every_other_hour(self, microgrid9):
+        # bus 1 has no load in any fixture hour; an hour with 20 MW there binds
+        # to the structure of an hour without it, and sheds at bus 1
+        net, demand = microgrid9
+        old = acopf.Objective.OPTIMAL_LOAD_DELIVERY
+        idle = hour_problem(net, demand, 12, old)
+        hour = hour_problem(net, demand, 15, old)
+        i, k = net.bus_index(1), net.island_bus_ids().index(1)
+        assert not demand.p_mw[:, demand.bus_column(1)].any()
+        p_d, q_d = hour.p_d.copy(), hour.q_d.copy()
+        p_d[i], q_d[i] = 20.0, 6.0
+        loaded = dataclasses.replace(hour, p_d=p_d, q_d=q_d, structure=idle.structure)
+        assert idle.shed_live[k] == 0.0 and loaded.shed_live[k] == 1.0
+        sol = acopf.solve(loaded)
+        assert sol.status is acopf.OpfStatus.OPTIMAL
+        assert sol.shed[k] > 0.1
+        assert_same_bits(sol, acopf.solve(standalone(loaded)))
 
 
 class TestFourCaseStudy:
@@ -393,6 +407,26 @@ class TestFourCaseStudy:
         net, demand = microgrid9
         with pytest.raises(ValidationError, match="cap_mvar"):
             run_four_case_study(net, demand, cap_mvar=cap_mvar)
+
+    @pytest.mark.parametrize("stress_pf", [float("nan"), 0.0, -0.5, 1.5])
+    def test_stress_pf_outside_unit_interval_rejected_before_any_case(
+        self, microgrid9, monkeypatch, stress_pf
+    ):
+        ran = []
+        monkeypatch.setattr(study, "run_case", lambda scenario, *args: ran.append(scenario))
+        net, demand = microgrid9
+        with pytest.raises(ValidationError, match="stress_pf"):
+            run_four_case_study(net, demand, stress_pf=stress_pf)
+        assert ran == []
+
+    def test_network_without_pv_rejected_before_any_case(self, two_bus, monkeypatch):
+        ran = []
+        monkeypatch.setattr(study, "run_case", lambda scenario, *args: ran.append(scenario))
+        net, demand = two_bus
+        assert not net.pv_units
+        with pytest.raises(ValidationError, match="no PV units"):
+            run_four_case_study(net, demand)
+        assert ran == []
 
     def test_determinism(self, microgrid9, study9):
         net, demand = microgrid9
