@@ -47,6 +47,7 @@ from .planning import (
     PlanningInput,
     economic_comparison,
     plan,
+    shed_voll_cost,
     voll_cost,
 )
 from .sensitivity import (

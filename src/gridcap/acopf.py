@@ -5,9 +5,11 @@ injection model, variable layout, generator data and bounds, objective
 scaling, constant Jacobian columns, Hessian index objects), and its hours
 as data: each OpfProblem binds one timestep's demand, fixed injections
 (grid-following PV as negative load), voltage-limit overrides and dt to a
-structure, or builds its own. The solve returns a primal-dual point:
-generator set-points, voltages, nodal power-balance multipliers and bound
-multipliers, with recomputed power-balance mismatch.
+structure, or builds its own. Shared data is read from problem.structure;
+the hour's NLP bounds, problem.lower and problem.upper, are the one
+statement of its limits. The solve returns a primal-dual point: generator
+set-points, voltages, nodal power-balance multipliers and bound multipliers,
+with recomputed power-balance mismatch.
 
 Sign conventions. Equalities are written g = (generation - demand - flow)
 = 0 per bus, where flow is the network injection V_i sum_j V_j (...). The
@@ -160,11 +162,11 @@ class OpfStructure:
 class OpfProblem:
     """AC-OPF instance for a single timestep. Demand in MW/Mvar per network bus.
 
-    The hour's data is bound to `structure`, one built from this problem's
-    own network and objective when none is given; a given structure must be
-    for the same network and objective. Under OLD, shed_live is 0.0 at each
-    bus without P demand, pinning its shed variable at 0. Structure
-    attributes (n, gens, pg_max, shed_pos, ...) read through the problem.
+    The hour's data (per-bus arrays in network bus order, or None) is bound
+    to `structure`, one built from this problem's own network and objective
+    when none is given; a given structure must be for the same network and
+    objective. Under OLD, shed_live is 0.0 at each bus without P demand,
+    pinning its shed variable at 0; lower and upper are the hour's NLP bounds.
     """
 
     network: Network
@@ -189,14 +191,7 @@ class OpfProblem:
         n = net.n_bus
 
         def as_bus_array(arr, name, default):
-            if arr is None:
-                return default.copy()
-            if isinstance(arr, dict):
-                out = default.copy()
-                for bus_id, val in arr.items():
-                    out[net.bus_index(bus_id)] = float(val)
-                return out
-            out = np.asarray(arr, dtype=float)
+            out = default if arr is None else np.asarray(arr, dtype=float)
             if out.shape != (n,):
                 raise ValidationError(f"{name} must have one entry per bus ({n})")
             return out.copy()
@@ -231,12 +226,9 @@ class OpfProblem:
         self.vmin = self.v_min[idx]
         self.vmax = self.v_max[idx]
         self.shed_live = (self.p_load[st.shed_pos] > 0.0).astype(float)  # 0.0 pins at 0
-
-    def __getattr__(self, name):
-        structure = self.__dict__.get("structure")
-        if structure is None or name.startswith("__"):
-            raise AttributeError(name)
-        return getattr(structure, name)
+        self.lower, self.upper = st.lower.copy(), st.upper.copy()
+        self.lower[st.sl_v], self.upper[st.sl_v] = self.vmin, self.vmax
+        self.upper[st.sl_s] = self.shed_live
 
     def _balance(self, v, theta, p_g, q_g, shed):
         """Per-unit power-balance residuals (dP, dQ) per island bus: generation
@@ -361,17 +353,14 @@ class OpfSolution:
 
 def _assemble_nlp(problem: OpfProblem, x0, f_scale):
     """IPM callbacks for one hour, scaled by f_scale, and the unscaled solver
-    objective in $. Only the hour's pieces are formed here: the V bounds, the
-    shed bounds, Jacobian columns and weights."""
+    objective in $. Only the hour's pieces are formed here: the shed
+    Jacobian columns and weights; the bounds are the problem's own."""
     pr, st = problem, problem.structure
     n, s = st.n, st.network.s_base
     c2, c1, c0 = st.c2, st.c1, st.c0
     eps1 = pr.options.eps_pg * st.cost_scale
     eps2 = pr.options.eps_loss * st.cost_scale
     shed_w = pr.options.voll_rate * pr.p_load[st.shed_pos] * s * pr.dt
-    lower, upper = st.lower.copy(), st.upper.copy()
-    lower[st.sl_v], upper[st.sl_v] = pr.vmin, pr.vmax
-    upper[st.sl_s] = pr.shed_live
 
     def value(x):
         theta, v, pg, qg, sh = st._split(x)
@@ -439,7 +428,7 @@ def _assemble_nlp(problem: OpfProblem, x0, f_scale):
         h[st.pg_idx, st.pg_idx] = sigma * f_scale * st.hess_pg_diag
         return h
 
-    nlp = NlpProblem(x0, lower, upper, 2 * n, objective, gradient, constraints, jacobian, hess_lag)
+    nlp = NlpProblem(x0, pr.lower, pr.upper, 2 * n, objective, gradient, constraints, jacobian, hess_lag)
     return nlp, value
 
 
@@ -576,7 +565,7 @@ def kkt_report(solution: OpfSolution, problem: OpfProblem) -> KktReport:
     stationarity = float(np.abs(r_dual).max())
 
     c = nlp.constraints(x)
-    lo, hi = nlp.lower, nlp.upper
+    lo, hi = pr.lower, pr.upper
     viol = np.maximum(lo - x, 0.0)
     viol = np.maximum(viol, np.maximum(x - hi, 0.0))
     feasibility = float(max(np.abs(c).max(), viol.max()))

@@ -19,7 +19,7 @@ from .acopf import SolverOptions
 from .config import ConfigError, load_config, solver_options_from
 from .model import GridcapError, PfSign, ValidationError
 from .netfile import load_demand, load_network
-from .planning import PlanningInput, economic_comparison, plan as solve_plan
+from .planning import PlanningInput, economic_comparison, plan as solve_plan, shed_voll_cost
 from .reporting import (
     ReportError,
     build_summary,
@@ -176,8 +176,6 @@ def _parse_cap_costs(text: str, default_buses=()) -> dict:
             raise ValidationError(
                 f"--cap-cost expects 'bus=usd,bus=usd,...', got {item!r}"
             )
-    if not out:
-        raise ValidationError("--cap-cost gave no candidates")
     return out
 
 
@@ -188,8 +186,12 @@ def cmd_plan(args) -> int:
     shed = read_shed_by_bus(args.case3, case_number=3)
     if not shed:
         raise ReportError(f"no case-3 shed data found under {args.case3}")
-    dt = float(meta.get("dt", 1.0))
-    c_voll = {b: mw * args.voll * dt for b, mw in shed.items()}
+    meta_csv = os.path.join(args.case3, "meta.csv")
+    try:
+        dt = float(meta.get("dt", 1.0))
+    except ValueError:
+        raise ValidationError(f"dt in {meta_csv} is not a number: {meta['dt']!r}")
+    c_voll = shed_voll_cost(shed, args.voll, dt, dt_name=f"dt in {meta_csv}")
     missing = [b for b in cap_cost if b not in c_voll]
     if missing:
         raise ValidationError(f"candidate buses not present in the study: {missing}")

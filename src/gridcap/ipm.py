@@ -23,7 +23,9 @@ right, the Newton step is taken from the same factors.
 Each point is evaluated once. A `_Point` computes f, grad, the Jacobian and
 c on first use and keeps them, and an accepted trial point becomes the
 current point with the values its acceptance test computed, so the next
-convergence check and line search reuse them. The KKT matrix is built once
+convergence check and line search reuse them. It keeps the gradient and the
+Jacobian full-length, so the pinned variables' multipliers are recovered
+from the final point's own values. The KKT matrix is built once
 per iteration; the inertia trials rewrite only its two diagonals.
 
 A warm start carries a nearby solution's whole primal-dual point: x, lam and
@@ -154,9 +156,6 @@ class _Funcs:
     def grad_full(self, x):
         return np.asarray(self.prob.gradient(self.expand(x)), dtype=float)
 
-    def grad(self, x):
-        return self.grad_full(x)[self.free]
-
     def c(self, x):
         return np.asarray(self.prob.constraints(self.expand(x)), dtype=float)
 
@@ -220,12 +219,20 @@ class _Point:
         return self.fn.f(self.x)
 
     @cached_property
+    def g_full(self):
+        return self.fn.grad_full(self.x)
+
+    @cached_property
+    def J_full(self):
+        return self.fn.jac_full(self.x)
+
+    @cached_property
     def g(self):
-        return self.fn.grad(self.x)
+        return self.g_full[self.fn.free]
 
     @cached_property
     def J(self):
-        return self.fn.jac(self.x)
+        return self.J_full[:, self.fn.free]
 
     @cached_property
     def c(self):
@@ -351,7 +358,7 @@ def _restore(fn: _Funcs, pt: _Point, mu: float, opts: IpmOptions, budget: int):
     )
     tight = 0.1 * opts.tol_feas
     eopts = IpmOptions(opts.tol_stat, tight, min(opts.tol_comp, tight), budget)
-    res = _ipm(elastic, eopts, y0, None, elastic=True)
+    res, _ = _ipm(elastic, eopts, y0, None, elastic=True)
     return res.x[:n], res.status, res.iterations
 
 
@@ -391,27 +398,29 @@ def solve_nlp(prob: NlpProblem, opts: IpmOptions = None, warm=None) -> IpmResult
         lam, z_lower, z_upper = (np.asarray(a, dtype=float) for a in warm)
         warm = (lam, np.concatenate([z_lower[at[:k]], z_upper[at[k:]]]))
     x0 = np.asarray(prob.x0, dtype=float)[fn.free]
-    res = _ipm(fn, opts or IpmOptions(), x0, warm)
+    res, end = _ipm(fn, opts or IpmOptions(), x0, warm)
     zl, zu = np.zeros(fn.n_full), np.zeros(fn.n_full)
     zl[at[:k]], zu[at[k:]] = res.z_lower, res.z_upper
     if np.any(fn.frozen):
         # recover net bound multipliers of pinned variables from stationarity
-        g_full = fn.grad_full(res.x) + (fn.jac_full(res.x).T @ res.lam if fn.m else 0.0)
+        # at the final point, whose gradient and Jacobian are already known
+        g_full = end.g_full + (end.J_full.T @ res.lam if fn.m else 0.0)
         gz = g_full[fn.frozen]
         zl[fn.frozen] = np.maximum(gz, 0.0)
         zu[fn.frozen] = np.maximum(-gz, 0.0)
     return replace(res, x=fn.expand(res.x), z_lower=zl, z_upper=zu)
 
 
-def _ipm(fn: _Funcs, opts: IpmOptions, x0, warm, elastic=False) -> IpmResult:
+def _ipm(fn: _Funcs, opts: IpmOptions, x0, warm, elastic=False) -> tuple:
     """The interior-point loop on fn's free variables, from x0 and warm
     (None, or (lam, z) with z one multiplier per bound row of fn). Every
     bound operation runs once over the slacks s = fn.slacks(x) and z: the
     start, mu, the barrier Hessian sigma = z / s, the Newton right-hand side
     and dz, the fraction-to-boundary steps and the dual clip. The result is
-    on the free variables, z split at fn.n_lower into z_lower and z_upper.
-    The elastic solve itself (elastic=True) ends at a step failure instead
-    of restoring."""
+    on the free variables, z split at fn.n_lower into z_lower and z_upper,
+    and is returned with the final _Point, whose gradient and Jacobian are
+    evaluated. The elastic solve itself (elastic=True) ends at a step
+    failure instead of restoring."""
     k, m, n = fn.n_lower, fn.m, fn.n
     zeros = (np.zeros(m), np.zeros(fn.bound.size))  # lam, z
 
@@ -440,7 +449,8 @@ def _ipm(fn: _Funcs, opts: IpmOptions, x0, warm, elastic=False) -> IpmResult:
 
     def finish(status, message="", errors=None):
         stat, feas, comp = errors or _kkt_errors(fn, pt, lam, z, 0.0)
-        return IpmResult(pt.x, lam, z[:k], z[k:], status, it, mu, stat, feas, comp, restorations, message)
+        res = IpmResult(pt.x, lam, z[:k], z[k:], status, it, mu, stat, feas, comp, restorations, message)
+        return res, pt
 
     remember()
 

@@ -214,40 +214,21 @@ class Network:
 
     # -- topology ----------------------------------------------------------
 
-    def adjacency(self) -> dict:
-        """Neighbours of each bus over the closed branches."""
-        adj = {b.id: set() for b in self.buses}
-        for br in self.branches:
-            if not br.closed:
-                continue
-            adj[br.from_bus].add(br.to_bus)
-            adj[br.to_bus].add(br.from_bus)
-        return adj
-
-    def connected_components(self) -> list:
-        """Connected components over the closed-branch graph, as sets of bus ids."""
-        adj = self.adjacency()
-        seen: set = set()
-        comps = []
-        for bus in self.buses:
-            if bus.id in seen:
-                continue
-            stack, comp = [bus.id], set()
-            while stack:
-                b = stack.pop()
-                if b in comp:
-                    continue
-                comp.add(b)
-                stack.extend(adj[b] - comp)
-            seen |= comp
-            comps.append(comp)
-        return comps
-
     def island_bus_ids(self) -> tuple:
         """Bus ids of the energized island (slack-connected, closed branches), in file order."""
-        slack = self.slack_bus.id
-        comp = next(c for c in self.connected_components() if slack in c)
-        return tuple(b.id for b in self.buses if b.id in comp)
+        neighbours = {b.id: [] for b in self.buses}
+        for br in self.branches:
+            if br.closed:
+                neighbours[br.from_bus].append(br.to_bus)
+                neighbours[br.to_bus].append(br.from_bus)
+        stack = [self.slack_bus.id]
+        island = set(stack)
+        while stack:
+            for b in neighbours[stack.pop()]:
+                if b not in island:
+                    island.add(b)
+                    stack.append(b)
+        return tuple(b.id for b in self.buses if b.id in island)
 
     # -- validation ---------------------------------------------------------
 

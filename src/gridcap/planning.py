@@ -42,11 +42,16 @@ def voll_cost(case3: CaseResult, voll_rate: float, dt: float = None) -> dict:
         raise ValidationError(
             f"voll_cost needs an optimal-load-delivery result, got {case3.case_id.value}"
         )
+    return shed_voll_cost(case3.shed_mw_by_bus(), voll_rate, case3.dt if dt is None else dt)
+
+
+def shed_voll_cost(shed_mw: dict, voll_rate: float, dt: float, dt_name: str = "dt") -> dict:
+    """Per-bus cost of lost load, $: shed_mw[b] * voll_rate * dt, where
+    shed_mw is each bus's shed MW summed over the hours and dt is hours per
+    timestep. dt_name is how an error names dt's source."""
     _require_positive("voll_rate", voll_rate)
-    dt = case3.dt if dt is None else dt
-    _require_positive("dt", dt)
-    shed_mw = case3.shed_mw_by_bus()
-    return {b: shed_mw[b] * voll_rate * dt for b in case3.bus_ids}
+    _require_positive(dt_name, dt)
+    return {b: mw * voll_rate * dt for b, mw in shed_mw.items()}
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .acopf import OpfProblem, OpfSolution, OpfStatus, solve
+from .acopf import OpfProblem, OpfSolution, OpfStatus, _solution_point, solve
 from .model import GridcapError, ValidationError
 
 
@@ -162,21 +162,10 @@ class FdResult:
 
 
 def _binding_signature(problem: OpfProblem, solution: OpfSolution, tol: float = 1e-4):
-    s = problem.network.s_base
-    v = solution.v
-    sig = []
-    sig.append(problem.vmax - v < tol)
-    sig.append(v - problem.vmin < tol)
-    pg = solution.p_g / s
-    qg = solution.q_g / s
-    sig.append(problem.pg_max - pg < tol)
-    sig.append(pg - problem.pg_min < tol)
-    sig.append(problem.qg_max - qg < tol)
-    sig.append(qg - problem.qg_min < tol)
-    sh = solution.shed[problem.shed_pos]
-    sig.append(sh < tol)
-    sig.append(1.0 - sh < tol)
-    return np.concatenate(sig)
+    """x - lower < tol, then upper - x < tol, over the hour's finite NLP bounds."""
+    x = _solution_point(problem, solution)[0]
+    lo, hi = np.isfinite(problem.lower), np.isfinite(problem.upper)
+    return np.concatenate([(x - problem.lower)[lo] < tol, (problem.upper - x)[hi] < tol])
 
 
 def _perturbed(problem: OpfProblem, bus_id: int, quantity: FdQuantity, delta_pu: float) -> OpfProblem:
@@ -198,11 +187,12 @@ def fd_oracle(problem: OpfProblem, bus_id: int, quantity: FdQuantity, eps: float
     eps is in p.u.; the returned value is $ per p.u. of the perturbed
     quantity (divide by s_base for $/Mvar against extract's os_q). The
     oracle declines (available=False) when either perturbed solve is not
-    Optimal or the active set flips between the two solves.
+    Optimal or the two sit on different sets of their hour's finite NLP
+    bounds (problem.lower and problem.upper).
     """
     if eps <= 0.0:
         raise ValidationError("fd eps must be positive")
-    if bus_id not in problem.island_bus_ids:
+    if bus_id not in problem.structure.island_bus_ids:
         raise ValidationError(f"bus {bus_id} is not on the energized island")
     p_up = _perturbed(problem, bus_id, quantity, +eps)
     p_dn = _perturbed(problem, bus_id, quantity, -eps)

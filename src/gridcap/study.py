@@ -91,7 +91,10 @@ class Scenario:
 
 
 def uniform_stress(net: Network, pf: float, sign: PfSign = PfSign.LAGGING) -> dict:
-    """Same power-factor override for every PV unit."""
+    """Same power-factor override for every PV unit; pf is the stress_pf
+    option, checked here for every caller."""
+    if not (0.0 < pf <= 1.0):  # nan fails too
+        raise ValidationError(f"stress_pf must be in (0, 1], got {pf}")
     return {i: (pf, sign) for i in range(len(net.pv_units))}
 
 
@@ -308,13 +311,11 @@ def run_four_case_study(
         raise ValidationError(f"top_m must be >= 1, got {top_m}")
     if not (np.isfinite(cap_mvar) and cap_mvar > 0.0):
         raise ValidationError(f"cap_mvar must be finite and positive, got {cap_mvar}")
-    if not (0.0 < stress_pf <= 1.0):  # nan fails too
-        raise ValidationError(f"stress_pf must be in (0, 1], got {stress_pf}")
+    stress = uniform_stress(network, stress_pf, stress_sign)
     if not network.pv_units:
         raise ValidationError("network has no PV units for Case 2 to stress")
     warnings = []
 
-    stress = uniform_stress(network, stress_pf, stress_sign)
     common = dict(options=options, weights=weights, rank_mode=rank_mode)
     case1 = run_case(Scenario(CaseId.ECONOMIC, **common), network, demand)
     case2 = run_case(

@@ -64,10 +64,10 @@ def test_criterion_2_kkt_solution_quality():
             comp = np.concatenate([
                 sol.mu_v_max * (pr.vmax - sol.v),
                 sol.mu_v_min * (sol.v - pr.vmin),
-                sol.mu_pg_max * (pr.pg_max - sol.p_g / s),
-                sol.mu_pg_min * (sol.p_g / s - pr.pg_min),
-                sol.mu_qg_max * (pr.qg_max - sol.q_g / s),
-                sol.mu_qg_min * (sol.q_g / s - pr.qg_min),
+                sol.mu_pg_max * (pr.structure.pg_max - sol.p_g / s),
+                sol.mu_pg_min * (sol.p_g / s - pr.structure.pg_min),
+                sol.mu_qg_max * (pr.structure.qg_max - sol.q_g / s),
+                sol.mu_qg_min * (sol.q_g / s - pr.structure.qg_min),
             ])
             assert np.abs(comp).max() <= 1e-6, (name, hour)
             checked += 1

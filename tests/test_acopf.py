@@ -127,7 +127,7 @@ class TestResiduals:
             q_d=np.array([0.0, 1.5]),
             objective=Objective.OPTIMAL_LOAD_DELIVERY,
         )
-        assert prob.ns == 2 and prob.n == 2  # a shed variable per island bus
+        assert prob.structure.ns == 2 and prob.structure.n == 2  # a shed variable per island bus
         assert list(prob.shed_live) == [0.0, 1.0]  # only bus 2 can shed
         state = (np.ones(2), np.zeros(2), np.array([2.0]), np.array([0.7]))
         shed = prob.residuals(*state, shed=np.array([0.0, 0.5]))
@@ -389,14 +389,6 @@ class TestProblemValidation:
         net, _ = two_bus
         with pytest.raises(ValidationError):
             OpfProblem(network=net, p_d=np.zeros(3), q_d=np.zeros(3))
-
-    def test_demand_keyed_by_bus_id(self, two_bus, base_problem):
-        net, _ = two_bus
-        prob = OpfProblem(network=net, p_d={2: 4.0}, q_d={2: 1.5})
-        assert np.array_equal(prob.p_d, base_problem.p_d)
-        assert np.array_equal(prob.q_d, base_problem.q_d)
-        with pytest.raises(ValidationError, match="unknown bus"):
-            OpfProblem(network=net, p_d={3: 1.0}, q_d=np.zeros(2))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_demand_rejected(self, two_bus, bad):

@@ -113,6 +113,24 @@ class TestSolve:
         assert f"error: solver option {name} must be" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("pf", ["nan", "1.5", "0"])
+    def test_bad_stress_pf_exits_1_naming_the_option(self, tmp_path, capsys, pf):
+        out = tmp_path / "never"
+        code = main(["solve", "--network", NET9, "--demand", DEM9,
+                     "--stress-pf", pf, "--out", str(out)])
+        assert code == 1
+        assert "error: stress_pf must be in (0, 1]" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("weights", ["0.5", "a,b", "0.2,0.3,0.5"])
+    def test_malformed_weights_exit_1(self, tmp_path, capsys, weights):
+        out = tmp_path / "never"
+        code = main(["solve", "--network", NET2, "--demand", DEM2,
+                     "--weights", weights, "--out", str(out)])
+        assert code == 1
+        assert f"--weights expects 'wq,wv', got {weights!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_config_value_exits_1_naming_the_option(self, tmp_path, capsys):
         cfg = tmp_path / "solver.conf"
         cfg.write_text("voll_rate = -5\n")
@@ -233,6 +251,68 @@ class TestPlan:
         argv = ["plan", "--case3", study_dir, "--cap-cost", cap_cost, "--voll", voll, "--out", str(out)]
         assert main(argv) == 1
         assert name in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_flat_cap_cost_applies_to_the_placement(self, study_dir, tmp_path):
+        out = tmp_path / "plan.csv"
+        argv = ["plan", "--case3", study_dir, "--cap-cost", "600", "--voll", "1000", "--out", str(out)]
+        assert main(argv) == 0
+        meta = {r["key"]: r["value"] for r in rows(os.path.join(study_dir, "meta.csv"))}
+        got = rows(out)
+        assert sorted(int(r["bus_id"]) for r in got) == sorted(int(b) for b in meta["placement"].split())
+        assert {float(r["c_cap"]) for r in got} == {600.0}
+
+    @pytest.mark.parametrize(
+        "cap_cost, message",
+        [("cheap", "--cap-cost expects 'bus=usd,...' or a flat usd figure, got 'cheap'"),
+         ("7=600,six=700", "--cap-cost expects 'bus=usd,bus=usd,...', got 'six=700'")],
+    )
+    def test_malformed_cap_cost_exits_1(self, study_dir, tmp_path, capsys, cap_cost, message):
+        out = tmp_path / "p.csv"
+        argv = ["plan", "--case3", study_dir, "--cap-cost", cap_cost, "--voll", "1000", "--out", str(out)]
+        assert main(argv) == 1
+        assert f"error: {message}\n" == capsys.readouterr().err
+        assert not out.exists()
+
+    def edited_copy(self, study_dir, tmp_path, name, edit):
+        """A copy of the study directory with one file's rows passed through edit."""
+        copy = tmp_path / "edited"
+        shutil.copytree(study_dir, copy)
+        path = copy / name
+        with open(path, newline="") as fh:
+            table = list(csv.reader(fh))
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(edit(table))
+        return copy
+
+    def test_flat_cap_cost_without_placement_exits_1(self, study_dir, tmp_path, capsys):
+        unplaced = self.edited_copy(study_dir, tmp_path, "meta.csv",
+                                    lambda t: [r for r in t if r[0] != "placement"])
+        out = tmp_path / "p.csv"
+        argv = ["plan", "--case3", str(unplaced), "--cap-cost", "600", "--voll", "1000", "--out", str(out)]
+        assert main(argv) == 1
+        assert "flat --cap-cost given but the study recorded no placement" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_no_case3_shed_rows_exits_1(self, study_dir, tmp_path, capsys):
+        # every hour non-optimal: nothing to price
+        headless = self.edited_copy(study_dir, tmp_path, "case3_bus.csv", lambda t: t[:1])
+        out = tmp_path / "p.csv"
+        argv = ["plan", "--case3", str(headless), "--cap-cost", "7=600", "--voll", "1000", "--out", str(out)]
+        assert main(argv) == 1
+        assert f"no case-3 shed data found under {headless}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dt", ["-1", "0", "nan", "inf", "hourly"])
+    def test_bad_meta_dt_exits_1_naming_meta_csv(self, study_dir, tmp_path, capsys, dt):
+        edited = self.edited_copy(study_dir, tmp_path, "meta.csv",
+                                  lambda t: [[k, dt if k == "dt" else v] for k, v in t])
+        out = tmp_path / "p.csv"
+        argv = ["plan", "--case3", str(edited), "--cap-cost", "7=600,6=700", "--voll", "1000", "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"dt in {os.path.join(str(edited), 'meta.csv')}" in err
+        assert "bus" not in err
         assert not out.exists()
 
 

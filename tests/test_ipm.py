@@ -194,9 +194,9 @@ def test_non_finite_kkt_matrix_ends_the_solve():
     assert np.isfinite(r.x).all() and 0.0 < r.x[0] < 2.0
 
 
-def test_frozen_variable_eliminated_and_multiplier_recovered():
+def frozen_problem():
     # x pinned by l = u = 1; stationarity implies z_upper = 4 there
-    prob = NlpProblem(
+    return NlpProblem(
         x0=np.array([1.0, 3.0]),
         lower=np.array([1.0, 0.0]),
         upper=np.array([1.0, 5.0]),
@@ -207,7 +207,10 @@ def test_frozen_variable_eliminated_and_multiplier_recovered():
         jacobian=lambda x: np.zeros((0, 2)),
         hess_lag=lambda x, lam, s: 2.0 * s * np.eye(2),
     )
-    r = solve_nlp(prob)
+
+
+def test_frozen_variable_eliminated_and_multiplier_recovered():
+    r = solve_nlp(frozen_problem())
     assert r.status == "optimal"
     assert r.x[0] == 1.0  # exactly pinned
     assert r.x[1] == pytest.approx(1.0, abs=1e-6)
@@ -405,6 +408,32 @@ def test_cold_opf_solve_evaluates_each_point_once(microgrid9, monkeypatch, hour)
     sol = acopf.solve(hour_problem(net, demand, hour))
     assert sol.status is acopf.OpfStatus.OPTIMAL
     ((seen, res),) = runs
+    assert_each_point_evaluated_once(seen, res)
+
+
+def test_pinned_multiplier_recovery_evaluates_no_point_again():
+    # the recovery reads the final point's own gradient
+    prob, seen = recording(frozen_problem())
+    res = solve_nlp(prob)
+    assert res.status == "optimal" and res.z_upper[0] == pytest.approx(4.0, abs=1e-9)
+    assert_each_point_evaluated_once(seen, res)
+
+
+def test_cold_old_solve_with_pinned_shed_evaluates_each_point_once(microgrid9, monkeypatch):
+    runs = []
+
+    def recording_solve_nlp(prob, *args, **kwargs):
+        prob, seen = recording(prob)
+        res = ipm.solve_nlp(prob, *args, **kwargs)
+        runs.append((prob, seen, res))
+        return res
+
+    monkeypatch.setattr(acopf, "solve_nlp", recording_solve_nlp)
+    net, demand = microgrid9
+    sol = acopf.solve(hour_problem(net, demand, 7, acopf.Objective.OPTIMAL_LOAD_DELIVERY))
+    assert sol.status is acopf.OpfStatus.OPTIMAL
+    ((prob, seen, res),) = runs
+    assert np.any(prob.lower == prob.upper)  # idle buses' shed variables are pinned
     assert_each_point_evaluated_once(seen, res)
 
 

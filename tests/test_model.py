@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -151,35 +153,59 @@ class TestNonFiniteRejected:
 
 
 def graph_components(bus_ids, edges):
-    """Independent component count over an undirected edge list."""
+    """Independent connected components over an undirected edge list, as sets."""
     adj = {b: set() for b in bus_ids}
     for a, b in edges:
         adj[a].add(b)
         adj[b].add(a)
-    seen, count = set(), 0
+    seen, comps = set(), []
     for start in bus_ids:
         if start in seen:
             continue
-        count += 1
-        stack = [start]
+        comp, stack = set(), [start]
         while stack:
             node = stack.pop()
-            if node in seen:
+            if node in comp:
                 continue
-            seen.add(node)
-            stack.extend(adj[node] - seen)
-    return count
+            comp.add(node)
+            stack.extend(adj[node] - comp)
+        seen |= comp
+        comps.append(comp)
+    return comps
+
+
+def reference_island(net, edges):
+    comp = next(c for c in graph_components(net.bus_ids, edges) if net.slack_bus.id in c)
+    return tuple(b for b in net.bus_ids if b in comp)
 
 
 class TestTopology:
     def test_opening_branches_never_merges_components(self, microgrid9):
         net, _ = microgrid9
         closed = [(b.from_bus, b.to_bus) for b in net.branches if b.closed]
-        n_before = graph_components(net.bus_ids, closed)
-        assert n_before == len(net.connected_components())
+        n_before = len(graph_components(net.bus_ids, closed))
+        assert net.island_bus_ids() == reference_island(net, closed)
         for k in range(len(closed)):
             fewer = closed[:k] + closed[k + 1 :]
-            assert graph_components(net.bus_ids, fewer) >= n_before
+            assert len(graph_components(net.bus_ids, fewer)) >= n_before
+
+    def test_island_after_opening_one_branch(self, microgrid9):
+        # the island shrinks to the slack's side; a cut that strands a
+        # device bus is rejected by validation instead
+        net, _ = microgrid9
+        devices = {g.bus for g in net.generators} | {pv.bus for pv in net.pv_units}
+        for k, br in enumerate(net.branches):
+            if not br.closed:
+                continue
+            branches = list(net.branches)
+            branches[k] = replace(br, status=BranchStatus.OPEN)
+            edges = [(b.from_bus, b.to_bus) for b in branches if b.closed]
+            island = reference_island(net, edges)
+            if devices <= set(island):
+                assert replace(net, branches=tuple(branches)).island_bus_ids() == island
+            else:
+                with pytest.raises(ValidationError, match="not connected to the slack"):
+                    replace(net, branches=tuple(branches))
 
 
 class TestPvInjection:

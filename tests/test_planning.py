@@ -10,6 +10,7 @@ from gridcap.planning import (
     PlanningInput,
     economic_comparison,
     plan,
+    shed_voll_cost,
     voll_cost,
 )
 from gridcap.sensitivity import HourlyAggregate
@@ -104,6 +105,18 @@ class TestVollCost:
         case = fake_old_result((1,), [[4.0]])
         with pytest.raises(ValidationError, match="dt"):
             voll_cost(case, voll_rate=1000.0, dt=float("nan"))
+
+    def test_shed_totals_priced_by_the_same_formula(self):
+        # gridcap plan prices the bus CSV's shed totals; voll_cost a CaseResult
+        case = fake_old_result((1, 2), [[0.5, 2.0], [0.25, 0.0]], dt=0.25)
+        assert voll_cost(case, voll_rate=900.0) == shed_voll_cost(
+            case.shed_mw_by_bus(), voll_rate=900.0, dt=0.25
+        )
+
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_shed_voll_cost_names_the_source_of_a_bad_dt(self, dt):
+        with pytest.raises(ValidationError, match="dt in study/meta.csv must be finite and positive"):
+            shed_voll_cost({1: 4.0}, voll_rate=1000.0, dt=dt, dt_name="dt in study/meta.csv")
 
     def test_fixture_case3_accumulates_shed(self, study9):
         costs = voll_cost(study9.case(3), voll_rate=1000.0)

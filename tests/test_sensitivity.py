@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import hour_problem
-from gridcap.acopf import OpfProblem, OpfStatus, SolverOptions, solve
+from gridcap.acopf import Objective, OpfProblem, OpfStatus, SolverOptions, solve
 from gridcap.model import (
     Branch,
     Bus,
@@ -22,6 +22,8 @@ from gridcap.sensitivity import (
     aggregate_hours,
     composite_score,
     cross_case_rank_table,
+    _binding_signature,
+    _perturbed,
     extract,
     fd_oracle,
 )
@@ -119,6 +121,50 @@ class TestDualVsFiniteDifference:
         tight = dataclasses.replace(net, generators=(net.generators[0], gen2))
         prob = hour_problem(tight, demand, 5)
         fd = fd_oracle(prob, 4, FdQuantity.QD, eps=1e-2)
+        assert not fd.available
+        assert "active set" in fd.reason
+
+    @staticmethod
+    def flipped_bounds(prob, bus_id, quantity, eps):
+        """(variable, side) of each signature entry that differs between the
+        +eps and -eps solves, side 0 lower and 1 upper; the signature lists
+        the finite lower bounds, then the finite upper bounds."""
+        sigs = []
+        for delta in (eps, -eps):
+            p = _perturbed(prob, bus_id, quantity, delta)
+            sol = solve(p)
+            assert sol.status is OPT
+            sigs.append(_binding_signature(p, sol))
+        rows = [(int(i), side) for side, bounds in enumerate((prob.lower, prob.upper))
+                for i in np.flatnonzero(np.isfinite(bounds))]
+        return {rows[k] for k in np.flatnonzero(sigs[0] != sigs[1])}
+
+    def test_voltage_bound_flip_detected(self, two_bus):
+        # bus 2's voltage cap sits eps/2 above its free optimum: the -eps
+        # perturbation lowers the cap onto the voltage, +eps leaves it free;
+        # with bus 2 capped, bus 1 comes off its own cap
+        net, _ = two_bus
+        free = OpfProblem(network=net, p_d=np.array([0.0, 4.0]), q_d=np.array([0.0, 1.5]))
+        v_star = float(solve(free).v[1])
+        eps = 1e-3
+        prob = dataclasses.replace(free, v_max=np.array([1.05, v_star + 0.5 * eps]))
+        v1 = prob.structure.sl_v.start
+        assert self.flipped_bounds(prob, 2, FdQuantity.VMAX, eps) == {(v1, 1), (v1 + 1, 1)}
+        fd = fd_oracle(prob, 2, FdQuantity.VMAX, eps=eps)
+        assert not fd.available
+        assert "active set" in fd.reason
+
+    def test_shed_bound_flip_detected(self, two_bus):
+        # bus 2's reactive demand sits just below what the unit's q_max can
+        # serve (7.2635 Mvar): +eps sheds a fraction of the load, -eps sheds
+        # none, and the unit's Q limit flips with it
+        net, _ = two_bus
+        prob = OpfProblem(network=net, p_d=np.array([0.0, 4.0]), q_d=np.array([0.0, 7.26]),
+                          objective=Objective.OPTIMAL_LOAD_DELIVERY)
+        st_ = prob.structure
+        shed2, qg = st_.sl_s.start + 1, st_.sl_qg.start
+        assert self.flipped_bounds(prob, 2, FdQuantity.QD, 1e-2) == {(shed2, 0), (qg, 1)}
+        fd = fd_oracle(prob, 2, FdQuantity.QD, eps=1e-2)
         assert not fd.available
         assert "active set" in fd.reason
 
