@@ -230,16 +230,16 @@ class OpfProblem:
         self.lower[st.sl_v], self.upper[st.sl_v] = self.vmin, self.vmax
         self.upper[st.sl_s] = self.shed_live
 
-    def _balance(self, v, theta, p_g, q_g, shed):
-        """Per-unit power-balance residuals (dP, dQ) per island bus: generation
-        minus effective demand (after shedding and fixed injections) minus
-        network injection. shed has one entry per shed variable (none under
-        ECONOMIC, one per island bus under OLD)."""
+    def _balance(self, model, v, theta, p_g, q_g, shed):
+        """Per-unit power-balance residuals (dP, dQ) per island bus, injections
+        by model: generation minus effective demand (after shedding and fixed
+        injections) minus network injection. shed has one entry per shed
+        variable (none under ECONOMIC, one per island bus under OLD)."""
         st = self.structure
         keep = np.ones(st.n)
         keep[st.shed_pos] -= shed * self.shed_live
         p_eff, q_eff = keep * self.p_load - self.p_fix, keep * self.q_load - self.q_fix
-        p_net, q_net = st.inj_model.injections(v, theta)
+        p_net, q_net = model.injections(v, theta)
         dp = np.bincount(st.gen_pos, weights=p_g, minlength=st.n) - p_eff - p_net
         dq = np.bincount(st.gen_pos, weights=q_g, minlength=st.n) - q_eff - q_net
         return dp, dq
@@ -264,7 +264,7 @@ class OpfProblem:
         q_g = np.asarray(q_g_mvar, dtype=float) / self.network.s_base
         if p_g.shape != (st.ng,) or q_g.shape != (st.ng,):
             raise ValidationError(f"expected {st.ng} generator set-points")
-        return self._balance(v, theta, p_g, q_g, self._shed_vars(shed))
+        return self._balance(st.inj_model, v, theta, p_g, q_g, self._shed_vars(shed))
 
     def _shed_vars(self, shed):
         """The shed variables' values from a fraction per island bus (None:
@@ -361,32 +361,31 @@ def _assemble_nlp(problem: OpfProblem, x0, f_scale):
     eps1 = pr.options.eps_pg * st.cost_scale
     eps2 = pr.options.eps_loss * st.cost_scale
     shed_w = pr.options.voll_rate * pr.p_load[st.shed_pos] * s * pr.dt
+    model = st.inj_model.memoized()  # this solve's: its callbacks share each point's T
 
     def value(x):
         theta, v, pg, qg, sh = st._split(x)
         pg_mw = pg * s
         f = float(np.sum(c2 * pg_mw**2 + c1 * pg_mw + c0))
         f += eps1 * float(pg_mw.sum())
-        f += eps2 * s * st.inj_model.losses(v, theta)
+        f += eps2 * s * model.losses(v, theta)
         f += float(shed_w @ sh)
         return f
 
-    def grad(x):
+    def gradient(x):
         theta, v, pg, qg, sh = st._split(x)
         g = np.zeros(st.nx)
         pg_mw = pg * s
         g[st.sl_pg] = (2.0 * c2 * pg_mw + c1) * s + eps1 * s
-        dp_dth, dp_dv, _, _ = st.inj_model.jacobian(v, theta)
-        dloss_dth = dp_dth.sum(axis=0)
-        dloss_dv = dp_dv.sum(axis=0)
-        g[st.sl_th] = eps2 * s * dloss_dth[st.nonslack]
-        g[st.sl_v] = eps2 * s * dloss_dv
+        dp_dth, dp_dv, _, _ = model.jacobian(v, theta)
+        g[st.sl_th] = eps2 * s * dp_dth.sum(axis=0)[st.nonslack]
+        g[st.sl_v] = eps2 * s * dp_dv.sum(axis=0)
         g[st.sl_s] = shed_w
-        return g
+        return f_scale * g
 
     def constraints(x):
         theta, v, pg, qg, sh = st._split(x)
-        return np.concatenate(pr._balance(v, theta, pg, qg, sh))
+        return np.concatenate(pr._balance(model, v, theta, pg, qg, sh))
 
     # generator and shed columns do not depend on x
     jac_fixed = st.jac_gen.copy()
@@ -395,7 +394,7 @@ def _assemble_nlp(problem: OpfProblem, x0, f_scale):
 
     def jacobian(x):
         theta, v, pg, qg, sh = st._split(x)
-        dp_dth, dp_dv, dq_dth, dq_dv = st.inj_model.jacobian(v, theta)
+        dp_dth, dp_dv, dq_dth, dq_dv = model.jacobian(v, theta)
         jac = jac_fixed.copy()
         jac[:n, st.sl_th] = -dp_dth[:, st.nonslack]
         jac[:n, st.sl_v] = -dp_dv
@@ -405,9 +404,6 @@ def _assemble_nlp(problem: OpfProblem, x0, f_scale):
 
     def objective(x):
         return f_scale * value(x)
-
-    def gradient(x):
-        return f_scale * grad(x)
 
     eps2s = eps2 * s
     ones = np.ones(n)
@@ -419,7 +415,7 @@ def _assemble_nlp(problem: OpfProblem, x0, f_scale):
         # constraint part carries -injections; objective loss term adds +eps2
         mu_w = -lam_p + sigma * f_scale * eps2s * ones
         nu_w = -lam_q
-        h_thth, h_vth, h_vv = st.inj_model.hessian_weighted(v, theta, mu_w, nu_w)
+        h_thth, h_vth, h_vv = model.hessian_weighted(v, theta, mu_w, nu_w)
         h = np.zeros((st.nx, st.nx))
         h[st.sl_th, st.sl_th] = h_thth[th_block]
         h[st.sl_v, st.sl_v] = h_vv

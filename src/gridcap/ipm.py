@@ -20,13 +20,14 @@ Hessian is indefinite. Each inertia trial is one Bunch-Kaufman LDL^T
 factorization: the inertia is read off its block-diagonal D and, when it is
 right, the Newton step is taken from the same factors.
 
-Each point is evaluated once. A `_Point` computes f, grad, the Jacobian and
-c on first use and keeps them, and an accepted trial point becomes the
-current point with the values its acceptance test computed, so the next
-convergence check and line search reuse them. It keeps the gradient and the
-Jacobian full-length, so the pinned variables' multipliers are recovered
-from the final point's own values. The KKT matrix is built once
-per iteration; the inertia trials rewrite only its two diagonals.
+Each point is evaluated once. A `_Point` expands x to full length once,
+computes f, grad, the Jacobian and c on first use and keeps them, and an
+accepted trial point becomes the current point with the values its
+acceptance test computed, so the next convergence check and line search
+reuse them. It keeps the free part of the gradient and the Jacobian and
+their pinned columns, for the pinned multipliers. Under the callbacks, an
+acopf solve shares one T per point (see powerflow). The KKT matrix is built
+once per iteration; the inertia trials rewrite only its two diagonals.
 
 A warm start carries a nearby solution's whole primal-dual point: x, lam and
 the bound multipliers, with a small bound push and a small floor on the
@@ -43,10 +44,10 @@ where a bound is infinite.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 _FROZEN_GAP = 1e-11
 _MU_INIT = 1e-1
@@ -113,7 +114,7 @@ class IpmResult:
 
 
 class _Funcs:
-    """Problem callbacks restricted to the free (non-frozen) variables."""
+    """The problem on its free (non-frozen) variables: their bound rows and Hessian."""
 
     def __init__(self, prob: NlpProblem):
         lower = np.asarray(prob.lower, dtype=float)
@@ -125,11 +126,11 @@ class _Funcs:
         self.frozen = (upper - lower) <= _FROZEN_GAP
         self.free = ~self.frozen
         self.x_frozen = np.zeros(self.n_full)
-        if np.any(self.frozen):
-            self.x_frozen[self.frozen] = 0.5 * (lower[self.frozen] + upper[self.frozen])
+        self.x_frozen[self.frozen] = 0.5 * (lower[self.frozen] + upper[self.frozen])
         self.lower = lower[self.free]
         self.upper = upper[self.free]
         self.n = int(self.free.sum())
+        self.free_block = np.ix_(self.free, self.free)
         self.m = prob.n_eq
         # One row per finite bound, s = sign * (x[bound] - value): the lower
         # bounds first (side 0, sign +1), then the upper bounds (side 1, sign -1).
@@ -150,24 +151,9 @@ class _Funcs:
         full[self.free] = x
         return full
 
-    def f(self, x):
-        return float(self.prob.objective(self.expand(x)))
-
-    def grad_full(self, x):
-        return np.asarray(self.prob.gradient(self.expand(x)), dtype=float)
-
-    def c(self, x):
-        return np.asarray(self.prob.constraints(self.expand(x)), dtype=float)
-
-    def jac_full(self, x):
-        return np.asarray(self.prob.jacobian(self.expand(x)), dtype=float)
-
-    def jac(self, x):
-        return self.jac_full(x)[:, self.free]
-
-    def hess(self, x, lam, sigma):
-        h = np.asarray(self.prob.hess_lag(self.expand(x), lam, sigma), dtype=float)
-        return h[np.ix_(self.free, self.free)]
+    def hess(self, pt, lam, sigma):
+        """The Lagrangian Hessian at pt on the free variables."""
+        return np.asarray(self.prob.hess_lag(pt.full, lam, sigma), dtype=float)[self.free_block]
 
     def slacks(self, x):
         """The slack of every bound row: x - l on the lower rows, u - x on
@@ -208,35 +194,37 @@ class _Funcs:
 
 
 class _Point:
-    """One primal point; each callback value is computed on first use and kept."""
+    """One primal point, expanded to full length once (full); each callback
+    value is computed on first use and kept. Of the gradient and the Jacobian
+    it keeps the free entries (g, J) and the pinned ones (g_pinned, J_pinned)."""
 
     def __init__(self, fn: _Funcs, x):
         self.fn = fn
         self.x = x
+        self.full = fn.expand(x)
 
     @cached_property
     def f(self):
-        return self.fn.f(self.x)
+        return float(self.fn.prob.objective(self.full))
 
     @cached_property
-    def g_full(self):
-        return self.fn.grad_full(self.x)
+    def _grad(self):
+        g = np.asarray(self.fn.prob.gradient(self.full), dtype=float)
+        return g[self.fn.free], g[self.fn.frozen]
 
     @cached_property
-    def J_full(self):
-        return self.fn.jac_full(self.x)
+    def _jac(self):
+        jac = np.asarray(self.fn.prob.jacobian(self.full), dtype=float)
+        return jac[:, self.fn.free], jac[:, self.fn.frozen]
 
-    @cached_property
-    def g(self):
-        return self.g_full[self.fn.free]
-
-    @cached_property
-    def J(self):
-        return self.J_full[:, self.fn.free]
+    g = property(lambda self: self._grad[0])
+    g_pinned = property(lambda self: self._grad[1])
+    J = property(lambda self: self._jac[0])
+    J_pinned = property(lambda self: self._jac[1])
 
     @cached_property
     def c(self):
-        return self.fn.c(self.x)
+        return np.asarray(self.fn.prob.constraints(self.full), dtype=float)
 
     @cached_property
     def viol(self):
@@ -249,18 +237,18 @@ class _Point:
 
 def _inertia(ldu: np.ndarray, ipiv: np.ndarray):
     """(positive, negative, zero) eigenvalue counts of D in a lower dsytrf
-    factorization. A 2x2 pivot is two consecutive rows with negative ipiv (runs
-    of such rows pair up from their start); its eigenvalues are closed-form."""
-    diag = ldu.diagonal()
-    in_pair = ipiv < 0
-    idx = np.arange(diag.size)
-    run_start = np.maximum.accumulate(np.where(in_pair & ~np.r_[False, in_pair[:-1]], idx, 0))
-    first = np.flatnonzero(in_pair & ((idx - run_start) % 2 == 0))
-    p, q, b = diag[first], diag[first + 1], ldu[first + 1, first]
-    mid = 0.5 * (p + q)
-    rad = np.hypot(0.5 * (p - q), b)
-    evs = np.concatenate([diag[~in_pair], mid + rad, mid - rad])
-    d_max = max(1.0, float(np.abs(diag).max(initial=0.0)), float(np.abs(b).max(initial=0.0)))
+    factorization. A 2x2 pivot is two consecutive rows with negative ipiv, so
+    the negative rows pair up in order; its eigenvalues are closed-form."""
+    diag = evs = ldu.diagonal()
+    d_max = max(1.0, float(np.abs(diag).max(initial=0.0)))
+    first = np.flatnonzero(ipiv < 0)[::2]
+    if first.size:  # else every pivot is 1x1 and D is its diagonal
+        p, q, b = diag[first], diag[first + 1], ldu[first + 1, first]
+        mid = 0.5 * (p + q)
+        rad = np.hypot(0.5 * (p - q), b)
+        evs = diag.copy()
+        evs[first], evs[first + 1] = mid + rad, mid - rad
+        d_max = max(d_max, float(np.abs(b).max()))
     tol = 10.0 * np.finfo(float).eps * d_max
     pos = int(np.count_nonzero(evs > tol))
     neg = int(np.count_nonzero(evs < -tol))
@@ -272,9 +260,14 @@ def _max_step(z, dz, tau):
     z >= 0: the fraction-to-boundary rule, for the multipliers and, on the
     slacks (dz = sign * dx[bound]), for x."""
     shrink = dz < 0.0
-    if not np.any(shrink):
+    if not shrink.any():
         return 1.0
-    return max(min(1.0, float(np.min(-tau * z[shrink] / dz[shrink]))), 0.0)
+    return max(min(1.0, float((-tau * z[shrink] / dz[shrink]).min())), 0.0)
+
+
+@cache
+def _dsytrf_lwork(size):
+    return int(lapack.dsytrf_lwork(size, lower=1)[0])  # full size: blocked code
 
 
 def _solve_kkt(kkt, rhs, n, m):
@@ -289,12 +282,11 @@ def _solve_kkt(kkt, rhs, n, m):
     """
     norms = np.abs(kkt).max(axis=1)
     d = 1.0 / np.sqrt(np.maximum(norms, 1e-12))
-    scaled = kkt * d[:, None] * d[None, :]
+    scaled = np.multiply(kkt, d[:, None], order="F")  # LAPACK's order: factored in place
+    scaled *= d[None, :]
     if not np.isfinite(scaled).all():
         raise ValueError("array must not contain infs or NaNs")
-    lapack = scipy.linalg.lapack
-    lwork = int(lapack.dsytrf_lwork(scaled.shape[0], lower=1)[0])  # full size: blocked code
-    ldu, ipiv, _ = lapack.dsytrf(scaled, lower=1, lwork=lwork)
+    ldu, ipiv, _ = lapack.dsytrf(scaled, lower=1, lwork=_dsytrf_lwork(d.size), overwrite_a=1)
     pos, neg, zero = _inertia(ldu, ipiv)
     if zero > 0:
         raise np.linalg.LinAlgError(f"kkt matrix has {zero} zero eigenvalues")
@@ -339,8 +331,13 @@ def _restore(fn: _Funcs, pt: _Point, mu: float, opts: IpmOptions, budget: int):
     x_r, c_r = pt.x, pt.c
     d2 = np.sqrt(max(mu, pt.viol)) / np.maximum(1.0, np.abs(x_r)) ** 2
     eye = np.eye(m)
-    zeros = np.zeros((2 * m, 2 * m))
+    hess = np.zeros((n + 2 * m, n + 2 * m))  # zero outside the x block
     y0 = np.concatenate([x_r, np.maximum(c_r, 0.0), np.maximum(-c_r, 0.0)])
+
+    def hess_lag(y, lam, sigma):
+        hess[:n, :n] = fn.hess(_Point(fn, y[:n]), lam, 0.0) + np.diag(sigma * d2)
+        return hess
+
     elastic = _Funcs(
         NlpProblem(
             x0=y0,
@@ -349,11 +346,9 @@ def _restore(fn: _Funcs, pt: _Point, mu: float, opts: IpmOptions, budget: int):
             n_eq=m,
             objective=lambda y: float(y[n:].sum()) + 0.5 * float(d2 @ (y[:n] - x_r) ** 2),
             gradient=lambda y: np.concatenate([d2 * (y[:n] - x_r), np.ones(2 * m)]),
-            constraints=lambda y: fn.c(y[:n]) - y[n : n + m] + y[n + m :],
-            jacobian=lambda y: np.hstack([fn.jac(y[:n]), -eye, eye]),
-            hess_lag=lambda y, lam, sigma: scipy.linalg.block_diag(
-                fn.hess(y[:n], lam, 0.0) + np.diag(sigma * d2), zeros
-            ),
+            constraints=lambda y: _Point(fn, y[:n]).c - y[n : n + m] + y[n + m :],
+            jacobian=lambda y: np.hstack([_Point(fn, y[:n]).J, -eye, eye]),
+            hess_lag=hess_lag,
         )
     )
     tight = 0.1 * opts.tol_feas
@@ -403,9 +398,12 @@ def solve_nlp(prob: NlpProblem, opts: IpmOptions = None, warm=None) -> IpmResult
     zl[at[:k]], zu[at[k:]] = res.z_lower, res.z_upper
     if np.any(fn.frozen):
         # recover net bound multipliers of pinned variables from stationarity
-        # at the final point, whose gradient and Jacobian are already known
-        g_full = end.g_full + (end.J_full.T @ res.lam if fn.m else 0.0)
-        gz = g_full[fn.frozen]
+        # at the final point. J_full.T @ lam is formed with zeros in the free
+        # columns, so each pinned row rounds as it does on the whole Jacobian.
+        jac = np.zeros((fn.m, fn.n_full))
+        if fn.m:
+            jac[:, fn.frozen] = end.J_pinned
+        gz = end.g_pinned + (jac.T @ res.lam)[fn.frozen]
         zl[fn.frozen] = np.maximum(gz, 0.0)
         zu[fn.frozen] = np.maximum(-gz, 0.0)
     return replace(res, x=fn.expand(res.x), z_lower=zl, z_upper=zu)
@@ -492,7 +490,7 @@ def _ipm(fn: _Funcs, opts: IpmOptions, x0, warm, elastic=False) -> tuple:
         # Newton step on the perturbed KKT system, z eliminated.
         sig = fn.sigma(s, z)
         grad, jac, c = pt.g, pt.J, pt.c
-        w = fn.hess(x, lam, 1.0)
+        w = fn.hess(pt, lam, 1.0)
 
         r_x = fn.scatter(grad + (jac.T @ lam if m else 0.0), mu / s)
         rhs = -np.concatenate([r_x, c])
@@ -548,7 +546,7 @@ def _ipm(fn: _Funcs, opts: IpmOptions, x0, warm, elastic=False) -> tuple:
         lam_t = lam + alpha_max * dlam if m else lam
         z_t = z + alpha_z * dz
         if (
-            np.all(trial.slacks > 0.0)
+            (trial.slacks > 0.0).all()
             and max(_kkt_errors(fn, trial, lam_t, z_t, mu)) <= (1.0 - 1e-4 * alpha_max) * err_before
         ):
             pt, lam = trial, lam_t

@@ -8,11 +8,31 @@ whose real part is V_i V_j (G_ij cos t_ij + B_ij sin t_ij) and imaginary
 part V_i V_j (G_ij sin t_ij - B_ij cos t_ij) with t_ij = theta_i - theta_j.
 Row sums give the bus injections P and Q; the same entries assemble the
 Jacobian and the multiplier-weighted Hessian in closed form.
+
+A point is evaluated once: the copy from `memoized()` that each solve owns
+keeps T, P, Q and the Jacobian blocks, read-only, at the last (V, theta)
+values it saw, so its four methods share them at one point. The model a
+structure shares keeps nothing, so concurrent solves may use it.
 """
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
+
+
+def _readonly(*arrays):
+    """arrays, made read-only: a memoized copy hands the same ones to every call."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _pq(at: dict):
+    if "pq" not in at:
+        at["pq"] = _readonly(at["t"].real.sum(axis=1), at["t"].imag.sum(axis=1))
+    return at["pq"]
 
 
 class InjectionModel:
@@ -23,29 +43,44 @@ class InjectionModel:
         self.b = np.asarray(b, dtype=float)
         self.n = self.g.shape[0]
         self._y = self.g + 1j * self.b
+        self._memo = None  # (key, values) on a memoized() copy; None keeps nothing
+
+    def memoized(self) -> InjectionModel:
+        """A copy, for one caller, that keeps the values at the last (v, theta)."""
+        twin = copy.copy(self)
+        twin._memo = (None, None)
+        return twin
+
+    def _at(self, v, theta) -> dict:
+        """Values at (v, theta), T under "t"; a memoized copy keeps them."""
+        if self._memo is None:
+            return {"t": self._t(v, theta)}
+        key = v.tobytes() + theta.tobytes()
+        if self._memo[0] != key:
+            self._memo = (key, {"t": self._t(v, theta)})
+        return self._memo[1]
 
     def _t(self, v, theta) -> np.ndarray:
         vc = v * np.exp(1j * theta)
-        return vc[:, None] * np.conj(self._y * vc[None, :])
+        return _readonly(vc[:, None] * np.conj(self._y * vc[None, :]))[0]
 
     def injections(self, v, theta):
         """Bus injections (p, q) in p.u. at voltage magnitudes/angles."""
-        t = self._t(v, theta)
-        return t.real.sum(axis=1), t.imag.sum(axis=1)
+        return _pq(self._at(v, theta))
 
     def losses(self, v, theta) -> float:
         """Total active-power loss = sum of bus active injections."""
-        return float(self._t(v, theta).real.sum())
+        return float(self._at(v, theta)["t"].real.sum())
 
     def jacobian(self, v, theta):
         """Partial derivative blocks (dp_dth, dp_dv, dq_dth, dq_dv), each (n, n)
         with [i, k] = d(injection at i)/d(variable at k)."""
-        t = self._t(v, theta)
-        tr, ti = t.real, t.imag
-        p = tr.sum(axis=1)
-        q = ti.sum(axis=1)
-        rd = np.diag(tr)
-        sd = np.diag(ti)
+        at = self._at(v, theta)
+        if "jac" in at:
+            return at["jac"]
+        tr, ti = at["t"].real, at["t"].imag
+        p, q = _pq(at)
+        rd, sd = tr.diagonal(), ti.diagonal()
 
         dp_dth = ti.copy()
         np.fill_diagonal(dp_dth, -q + sd)
@@ -55,7 +90,8 @@ class InjectionModel:
         np.fill_diagonal(dp_dv, (p + rd) / v)
         dq_dv = ti / v[None, :]
         np.fill_diagonal(dq_dv, (q + sd) / v)
-        return dp_dth, dp_dv, dq_dth, dq_dv
+        at["jac"] = _readonly(dp_dth, dp_dv, dq_dth, dq_dv)
+        return at["jac"]
 
     def hessian_weighted(self, v, theta, mu, nu):
         """Hessian of sum_i (mu_i * P_i + nu_i * Q_i) over (theta, V).
@@ -64,10 +100,10 @@ class InjectionModel:
         full symmetric Hessian in (theta, V) ordering is
         [[h_thth, h_vth.T], [h_vth, h_vv]].
         """
-        t = self._t(v, theta)
+        t = self._at(v, theta)["t"]
         tr, ti = t.real.copy(), t.imag.copy()
-        rd = np.diag(tr).copy()
-        sd = np.diag(ti).copy()
+        rd = tr.diagonal().copy()
+        sd = ti.diagonal().copy()
         np.fill_diagonal(tr, 0.0)
         np.fill_diagonal(ti, 0.0)
         mu = np.asarray(mu, dtype=float)

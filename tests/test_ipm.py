@@ -320,6 +320,65 @@ def test_inertia_cases_exercise_two_by_two_pivots():
     assert any((p < 0).any() for p in pivots) and any((p > 0).all() for p in pivots)
 
 
+def block_d(ldu, ipiv):
+    """D of a lower dsytrf factorization, its 2x2 pivots paired as LAPACK
+    documents them: a negative ipiv[k] starts a pivot on rows k and k + 1."""
+    size = ipiv.size
+    d = np.diag(ldu.diagonal())
+    k = 0
+    while k < size:
+        if ipiv[k] < 0:
+            d[k + 1, k] = d[k, k + 1] = ldu[k + 1, k]
+            k += 1
+        k += 1
+    return d
+
+
+def d_sign_counts(d):
+    """Eigenvalue signs of D by eigvalsh, at _inertia's zero tolerance."""
+    tol = 10.0 * np.finfo(float).eps * max(1.0, float(np.abs(d).max()))
+    evs = np.linalg.eigvalsh(d)
+    return int((evs > tol).sum()), int((evs < -tol).sum()), int((np.abs(evs) <= tol).sum())
+
+
+def kkt_like_cases():
+    rng = np.random.default_rng(17)
+    for _ in range(60):
+        n, m = int(rng.integers(1, 25)), int(rng.integers(0, 12))
+        h = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-4, 4)
+        jac = rng.standard_normal((m, n)) * 10.0 ** rng.integers(-2, 2, size=(m, 1))
+        kkt = np.zeros((n + m, n + m))
+        kkt[:n, :n] = h + h.T + np.diag(rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.integers(-3, 3))
+        kkt[:n, n:] = jac.T
+        kkt[n:, :n] = jac
+        kkt[n:, n:] = -np.eye(m) * rng.choice([0.0, 1e-8, 1.0])
+        yield kkt
+
+
+def test_inertia_matches_eigvalsh_of_d_on_kkt_like_matrices():
+    kinds = set()
+    for kkt in kkt_like_cases():
+        ldu, ipiv, _ = scipy.linalg.lapack.dsytrf(kkt, lower=1)
+        assert _inertia(ldu, ipiv) == d_sign_counts(block_d(ldu, ipiv))
+        kinds.add(bool((ipiv < 0).any()))
+    assert kinds == {True, False}  # factors with and without 2x2 pivots
+
+
+def test_inertia_at_the_zero_tolerance():
+    tol = 10.0 * np.finfo(float).eps  # max |D| is below 1 here, so 1 sets the scale
+    # 1x1 pivots: a diagonal matrix is its own D; exactly +-tol counts as zero
+    diag = np.diag([0.5, tol, -tol, 2.0 * tol, -2.0 * tol, 0.5 * tol, 0.0])
+    ldu, ipiv, _ = scipy.linalg.lapack.dsytrf(diag, lower=1)
+    assert (ipiv > 0).all()
+    assert _inertia(ldu, ipiv) == d_sign_counts(block_d(ldu, ipiv)) == (2, 1, 4)
+    # 2x2 pivots [[0, b], [b, 0]] have eigenvalues exactly +-b
+    for b, counts in ((tol, (0, 0, 2)), (2.0 * tol, (1, 1, 0))):
+        pair = np.array([[0.0, b], [b, 0.0]])
+        ldu, ipiv, _ = scipy.linalg.lapack.dsytrf(pair, lower=1)
+        assert (ipiv < 0).all()
+        assert _inertia(ldu, ipiv) == d_sign_counts(block_d(ldu, ipiv)) == counts
+
+
 def quasi_definite_kkt(n=7, m=3):
     rng = np.random.default_rng(11)
     h = rng.standard_normal((n, n))

@@ -116,3 +116,59 @@ def test_uniform_angle_shift_leaves_injections_unchanged():
     # consequence: theta rows of the weighted hessian sum to zero
     h_thth, _, _ = m.hessian_weighted(v, th, np.ones(m.n), np.ones(m.n))
     np.testing.assert_allclose(h_thth.sum(axis=1), 0.0, atol=1e-12)
+
+
+# -- a memoized copy evaluates each point once --------------------------------
+
+
+def evaluate_all(model, v, th, mu, nu):
+    """Every method's result at (v, th), as one flat list of arrays."""
+    p, q = model.injections(v, th)
+    loss = np.array(model.losses(v, th))
+    return [p, q, loss, *model.jacobian(v, th), *model.hessian_weighted(v, th, mu, nu)]
+
+
+def as_bits(arrays):
+    return [a.tobytes() for a in arrays]
+
+
+def test_memo_returns_the_bits_of_a_fresh_model_at_points_a_b_a(monkeypatch):
+    m, rng = random_model(4, n=6)
+    a, b = random_state(rng, m.n), random_state(rng, m.n)
+    mu, nu = rng.normal(size=m.n), rng.normal(size=m.n)
+    memo = m.memoized()
+    builds = []
+    real_t = InjectionModel._t
+    monkeypatch.setattr(InjectionModel, "_t", lambda self, *x: builds.append(1) or real_t(self, *x))
+    for v, th in (a, b, a):
+        got = [as_bits(evaluate_all(memo, v, th, mu, nu)) for _ in range(2)]
+        before = len(builds)
+        fresh = as_bits(evaluate_all(InjectionModel(m.g, m.b), v, th, mu, nu))
+        assert len(builds) - before == 4  # the shared model keeps nothing
+        assert got == [fresh, fresh]
+    assert len(builds) - 3 * 4 == 3  # the memoized copy: one T per point of A, B, A
+
+
+def test_memo_follows_the_values_of_v_written_in_place():
+    m, rng = random_model(8)
+    v, th = random_state(rng, m.n)
+    memo = m.memoized()
+    p_before, _ = memo.injections(v, th)
+    blocks_before = memo.jacobian(v, th)
+    v *= 1.01  # the caller's array, written in place after the calls
+    p_after, _ = memo.injections(v, th)
+    fresh = InjectionModel(m.g, m.b)
+    assert p_after.tobytes() == fresh.injections(v, th)[0].tobytes()
+    assert as_bits(memo.jacobian(v, th)) == as_bits(fresh.jacobian(v, th))
+    assert p_after.tobytes() != p_before.tobytes()
+    assert as_bits(memo.jacobian(v, th)) != as_bits(blocks_before)
+
+
+@pytest.mark.parametrize("memoized", [True, False])
+def test_kept_arrays_refuse_writes(memoized):
+    m, rng = random_model(9)
+    model = m.memoized() if memoized else m
+    v, th = random_state(rng, m.n)
+    for arr in (*model.injections(v, th), *model.jacobian(v, th)):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0

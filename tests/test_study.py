@@ -265,6 +265,27 @@ class TestCaseStructure:
         for a, b in zip(together, alone):
             assert_same_bits(a, b)
 
+    def test_two_threads_on_one_structure_keep_their_own_point_memo(self, microgrid9, monkeypatch):
+        # eight voltage-stress hours, six of them infeasible (restoration runs),
+        # on two threads: each solve's injection memo is its own, and the
+        # structure's model keeps none
+        net, demand = microgrid9
+        scenario = Scenario(CaseId.VOLTAGE_STRESS, pf_overrides=uniform_stress(net, 0.85))
+        _, problems = run_recording(scenario, net, demand, monkeypatch)
+        hours = problems[8:16]
+        assert sum(acopf.solve(p).status is acopf.OpfStatus.INFEASIBLE for p in hours) == 6
+        alone = [acopf.solve(p) for p in hours]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                together = list(pool.map(acopf.solve, hours, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(together, alone):
+            assert_same_bits(a, b)
+        assert hours[0].structure.inj_model._memo is None
+
     def test_hour_without_p_load_pins_its_shed_variable(self, microgrid9, monkeypatch):
         # bus 7 sheds in hour 15 of Case 3; with its P demand (not Q) zeroed
         # there, its shed variable is pinned at 0 and scales nothing
