@@ -1,15 +1,16 @@
 """Nonlinear AC optimal power flow with selectable objective.
 
 A case is one OpfStructure, built once per network and objective (island,
-injection model, variable layout, generator data and bounds, objective
+admittance matrix, variable layout, generator data and bounds, objective
 scaling, constant Jacobian columns, Hessian index objects), and its hours
 as data: each OpfProblem binds one timestep's demand, fixed injections
 (grid-following PV as negative load), voltage-limit overrides and dt to a
 structure, or builds its own. Shared data is read from problem.structure;
 the hour's NLP bounds, problem.lower and problem.upper, are the one
-statement of its limits. The solve returns a primal-dual point: generator
-set-points, voltages, nodal power-balance multipliers and bound multipliers,
-with recomputed power-balance mismatch.
+statement of its limits. Each solve evaluates injections on its own
+InjectionModel; a structure holds none. The solve returns a primal-dual
+point: generator set-points, voltages, nodal power-balance multipliers and
+bound multipliers, with the power-balance mismatch its model holds there.
 
 Sign conventions. Equalities are written g = (generation - demand - flow)
 = 0 per bus, where flow is the network injection V_i sum_j V_j (...). The
@@ -93,8 +94,7 @@ class OpfStructure:
         self.island_bus_ids = tuple(island)
         self.full_idx = np.array([net.bus_index(b) for b in island], dtype=int)
         self.n = n = len(island)
-        ymat = build_admittance(net).submatrix(island)
-        self.inj_model = InjectionModel(ymat.g, ymat.b)
+        self.y = build_admittance(net).submatrix(island).y  # island admittance, p.u.
         self.slack_pos = next(i for i, b in enumerate(island) if net.bus(b).kind.value == "slack")
         self.nonslack = np.array([i for i in range(n) if i != self.slack_pos], dtype=int)
         # default voltage limits per network bus, for hours without overrides
@@ -264,7 +264,7 @@ class OpfProblem:
         q_g = np.asarray(q_g_mvar, dtype=float) / self.network.s_base
         if p_g.shape != (st.ng,) or q_g.shape != (st.ng,):
             raise ValidationError(f"expected {st.ng} generator set-points")
-        return self._balance(st.inj_model, v, theta, p_g, q_g, self._shed_vars(shed))
+        return self._balance(InjectionModel(st.y), v, theta, p_g, q_g, self._shed_vars(shed))
 
     def _shed_vars(self, shed):
         """The shed variables' values from a fraction per island bus (None:
@@ -351,17 +351,17 @@ class OpfSolution:
         return self.lambda_q / self.s_base
 
 
-def _assemble_nlp(problem: OpfProblem, x0, f_scale):
+def _assemble_nlp(problem: OpfProblem, x0, f_scale, model: InjectionModel):
     """IPM callbacks for one hour, scaled by f_scale, and the unscaled solver
-    objective in $. Only the hour's pieces are formed here: the shed
-    Jacobian columns and weights; the bounds are the problem's own."""
+    objective in $, all evaluating injections on the caller's model, so that
+    they share each point's T. Only the hour's pieces are formed here: the
+    shed Jacobian columns and weights; the bounds are the problem's own."""
     pr, st = problem, problem.structure
     n, s = st.n, st.network.s_base
     c2, c1, c0 = st.c2, st.c1, st.c0
     eps1 = pr.options.eps_pg * st.cost_scale
     eps2 = pr.options.eps_loss * st.cost_scale
     shed_w = pr.options.voll_rate * pr.p_load[st.shed_pos] * s * pr.dt
-    model = st.inj_model.memoized()  # this solve's: its callbacks share each point's T
 
     def value(x):
         theta, v, pg, qg, sh = st._split(x)
@@ -480,7 +480,8 @@ def solve(problem: OpfProblem, warm_start: OpfSolution = None) -> OpfSolution:
         x0, *duals = _solution_point(pr, warm_start)
         warm = tuple(d * f_scale for d in duals)
 
-    nlp, value_fn = _assemble_nlp(pr, x0, f_scale)
+    model = InjectionModel(st.y)  # this solve's own
+    nlp, value_fn = _assemble_nlp(pr, x0, f_scale, model)
     opts = IpmOptions(
         tol_stat=pr.options.kkt_tol * f_scale,
         tol_feas=pr.options.feas_tol,
@@ -502,7 +503,8 @@ def solve(problem: OpfProblem, warm_start: OpfSolution = None) -> OpfSolution:
     p_g_mw = pg * s
     q_g_mvar = qg * s
     shed = pr.shed_fractions_full(sh)
-    dp, dq = pr.residuals(v, theta, p_g_mw, q_g_mvar, shed)
+    # at the final point, which the solve's model still holds
+    dp, dq = pr._balance(model, v, theta, p_g_mw / s, q_g_mvar / s, sh)
     mismatch = np.maximum(np.abs(dp), np.abs(dq))
 
     return OpfSolution(
@@ -553,7 +555,7 @@ def kkt_report(solution: OpfSolution, problem: OpfProblem) -> KktReport:
     solver objective (including tie-break terms)."""
     pr = problem
     x, lam, zl, zu = _solution_point(pr, solution)
-    nlp, _ = _assemble_nlp(pr, x, 1.0)
+    nlp, _ = _assemble_nlp(pr, x, 1.0, InjectionModel(pr.structure.y))
 
     grad = nlp.gradient(x)
     jac = nlp.jacobian(x)

@@ -130,7 +130,7 @@ class _Funcs:
         self.lower = lower[self.free]
         self.upper = upper[self.free]
         self.n = int(self.free.sum())
-        self.free_block = np.ix_(self.free, self.free)
+        self.free_block = np.ix_(self.free, self.free) if self.n < self.n_full else None
         self.m = prob.n_eq
         # One row per finite bound, s = sign * (x[bound] - value): the lower
         # bounds first (side 0, sign +1), then the upper bounds (side 1, sign -1).
@@ -143,7 +143,7 @@ class _Funcs:
         self.level = self.sign * bounds[self.side, self.bound]
         # the start's push is scaled by the box width u - l, or by
         # max(1, |bound|) where the other side is infinite
-        span = np.ptp(bounds[:, self.bound], axis=0)
+        span = self.upper[self.bound] - self.lower[self.bound]
         self.width = np.where(np.isfinite(span), span, np.maximum(1.0, np.abs(self.level)))
 
     def expand(self, x):
@@ -152,8 +152,10 @@ class _Funcs:
         return full
 
     def hess(self, pt, lam, sigma):
-        """The Lagrangian Hessian at pt on the free variables."""
-        return np.asarray(self.prob.hess_lag(pt.full, lam, sigma), dtype=float)[self.free_block]
+        """The Lagrangian Hessian at pt on the free variables; with nothing pinned,
+        the callback's own array, which the elastic one rewrites on its next call."""
+        h = np.asarray(self.prob.hess_lag(pt.full, lam, sigma), dtype=float)
+        return h if self.free_block is None else h[self.free_block]
 
     def slacks(self, x):
         """The slack of every bound row: x - l on the lower rows, u - x on

@@ -9,21 +9,19 @@ part V_i V_j (G_ij sin t_ij - B_ij cos t_ij) with t_ij = theta_i - theta_j.
 Row sums give the bus injections P and Q; the same entries assemble the
 Jacobian and the multiplier-weighted Hessian in closed form.
 
-A point is evaluated once: the copy from `memoized()` that each solve owns
-keeps T, P, Q and the Jacobian blocks, read-only, at the last (V, theta)
-values it saw, so its four methods share them at one point. The model a
-structure shares keeps nothing, so concurrent solves may use it.
+A point is evaluated once: a model keeps T, P, Q and the Jacobian blocks,
+read-only, at the last (V, theta) values it saw, so its four methods share
+them at one point. A model therefore has one owner, such as one solve; an
+OPF structure holds only the admittance matrix.
 """
 
 from __future__ import annotations
-
-import copy
 
 import numpy as np
 
 
 def _readonly(*arrays):
-    """arrays, made read-only: a memoized copy hands the same ones to every call."""
+    """arrays, made read-only: a model hands the same ones to every call."""
     for a in arrays:
         a.flags.writeable = False
     return arrays
@@ -36,25 +34,16 @@ def _pq(at: dict):
 
 
 class InjectionModel:
-    """Injection evaluator bound to one admittance matrix (dense, p.u.)."""
+    """Injection evaluator bound to one complex admittance matrix y (dense,
+    p.u.); it keeps the values at the last (v, theta) it saw."""
 
-    def __init__(self, g: np.ndarray, b: np.ndarray):
-        self.g = np.asarray(g, dtype=float)
-        self.b = np.asarray(b, dtype=float)
-        self.n = self.g.shape[0]
-        self._y = self.g + 1j * self.b
-        self._memo = None  # (key, values) on a memoized() copy; None keeps nothing
-
-    def memoized(self) -> InjectionModel:
-        """A copy, for one caller, that keeps the values at the last (v, theta)."""
-        twin = copy.copy(self)
-        twin._memo = (None, None)
-        return twin
+    def __init__(self, y: np.ndarray):
+        self.y = np.asarray(y, dtype=complex)
+        self.n = self.y.shape[0]
+        self._memo = (None, None)  # (key, values) at the last point
 
     def _at(self, v, theta) -> dict:
-        """Values at (v, theta), T under "t"; a memoized copy keeps them."""
-        if self._memo is None:
-            return {"t": self._t(v, theta)}
+        """Values at (v, theta), T under "t", kept until another point comes."""
         key = v.tobytes() + theta.tobytes()
         if self._memo[0] != key:
             self._memo = (key, {"t": self._t(v, theta)})
@@ -62,7 +51,7 @@ class InjectionModel:
 
     def _t(self, v, theta) -> np.ndarray:
         vc = v * np.exp(1j * theta)
-        return _readonly(vc[:, None] * np.conj(self._y * vc[None, :]))[0]
+        return _readonly(vc[:, None] * np.conj(self.y * vc[None, :]))[0]
 
     def injections(self, v, theta):
         """Bus injections (p, q) in p.u. at voltage magnitudes/angles."""

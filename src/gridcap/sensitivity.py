@@ -113,9 +113,11 @@ def aggregate_hours(per_hour, weights: ScoreWeights = ScoreWeights(), mode: str 
     """Aggregate per-hour raw sensitivities into one ranking.
 
     per_hour: iterable of lists of RawSensitivity (one list per hour).
-    Scores are formed per hour and averaged over reliable hours (default),
-    or the per-hour maximum is taken with mode="max". Unreliable hours are
-    excluded and counted.
+    Each bus's magnitudes |os_q| and |os_v| are averaged over the reliable
+    hours (default), or each one's peak over those hours is taken with
+    mode="max", and the results are scored. Under "max" the two peaks may
+    come from different hours, so a bus's score is not the peak of its
+    per-hour scores. Unreliable hours are excluded and counted.
     """
     if mode not in ("mean", "max"):
         raise ValidationError(f"aggregation mode must be mean or max, got {mode!r}")

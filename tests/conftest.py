@@ -4,6 +4,7 @@ from hypothesis import settings
 
 from gridcap.acopf import OpfProblem, Objective, SolverOptions
 from gridcap.fixtures import load_fixture
+from gridcap.model import pv_injection
 from gridcap.study import run_four_case_study
 
 # Property tests draw the same examples on every run and keep no example
@@ -35,7 +36,8 @@ def study9(microgrid9):
 
 
 def hour_problem(net, demand, hour, objective=Objective.ECONOMIC, options=None, **kw):
-    """OpfProblem for one fixture hour, PV folded into fixed injections."""
+    """OpfProblem for one fixture hour, PV (P and Q) folded into fixed
+    injections as run_case does."""
     p_d = np.zeros(net.n_bus)
     q_d = np.zeros(net.n_bus)
     for j, b in enumerate(demand.bus_ids):
@@ -45,7 +47,9 @@ def hour_problem(net, demand, hour, objective=Objective.ECONOMIC, options=None, 
     q_inj = np.zeros(net.n_bus)
     for pv in net.pv_units:
         i = net.bus_index(pv.bus)
-        p_inj[i] += pv.p_profile[hour]
+        p_mw, q_mvar = pv_injection(pv, hour)
+        p_inj[i] += p_mw
+        q_inj[i] += q_mvar
     return OpfProblem(
         network=net,
         p_d=p_d,

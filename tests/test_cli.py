@@ -7,6 +7,7 @@ from dataclasses import fields, replace
 import pytest
 
 from gridcap.acopf import SolverOptions
+from gridcap import cli
 from gridcap.cli import _solver_options, main, make_parser
 from gridcap.fixtures import fixture_path
 from gridcap.reporting import read_rows
@@ -205,6 +206,19 @@ class TestStudy:
         assert main(["study", "--network", NET9, "--demand", DEM9, *flags, "--out", str(out)]) == 1
         assert name in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags, stressed", [([], False), (["--case4-stressed"], True)])
+    def test_case4_stressed_flag_reaches_the_study(self, study9, tmp_path, monkeypatch, flags, stressed):
+        calls = []
+
+        def recording_study(*args, **kwargs):
+            calls.append(kwargs)
+            return study9
+
+        monkeypatch.setattr(cli, "run_four_case_study", recording_study)
+        assert main(["study", "--network", NET9, "--demand", DEM9, *flags,
+                     "--out", str(tmp_path / "x")]) == 0
+        assert [c["case4_stressed"] for c in calls] == [stressed]
 
     def test_emitted_files_reparse(self, study_dir):
         # every artifact re-reads under the package's own readers

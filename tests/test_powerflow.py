@@ -8,7 +8,7 @@ def random_model(seed, n=5, order="C"):
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(n, n))
     b = rng.normal(size=(n, n))
-    return InjectionModel(np.asarray(g + g.T, order=order), np.asarray(b + b.T, order=order)), rng
+    return InjectionModel(np.asarray(g + g.T + 1j * (b + b.T), order=order)), rng
 
 
 def random_state(rng, n):
@@ -20,9 +20,7 @@ def test_two_bus_injections_match_textbook_formula():
     r, x = 0.02, 0.1
     y = 1.0 / complex(r, x)
     g, b = y.real, y.imag
-    gm = np.array([[g, -g], [-g, g]])
-    bm = np.array([[b, -b], [-b, b]])
-    m = InjectionModel(gm, bm)
+    m = InjectionModel(np.array([[y, -y], [-y, y]]))
     v = np.array([1.03, 0.98])
     th = np.array([0.0, -0.05])
     p, q = m.injections(v, th)
@@ -34,9 +32,7 @@ def test_two_bus_injections_match_textbook_formula():
 
 def test_zero_flow_at_flat_state_without_shunts():
     y = 1.0 / 0.1j
-    gm = np.zeros((2, 2))
-    bm = np.array([[y.imag, -y.imag], [-y.imag, y.imag]])
-    m = InjectionModel(gm, bm)
+    m = InjectionModel(np.array([[y, -y], [-y, y]]))
     p, q = m.injections(np.ones(2), np.zeros(2))
     np.testing.assert_allclose(p, 0.0, atol=1e-15)
     np.testing.assert_allclose(q, 0.0, atol=1e-15)
@@ -101,7 +97,7 @@ def check_weighted_hessian(m, rng):
 
 def test_fortran_ordered_admittance_matches_finite_differences():
     # the derivative diagonals are written in place, which must hold for any
-    # memory order of the arrays built from g and b
+    # memory order of the arrays built from y
     check_jacobian(*random_model(5, order="F"))
     check_weighted_hessian(*random_model(5, order="F"))
 
@@ -118,7 +114,7 @@ def test_uniform_angle_shift_leaves_injections_unchanged():
     np.testing.assert_allclose(h_thth.sum(axis=1), 0.0, atol=1e-12)
 
 
-# -- a memoized copy evaluates each point once --------------------------------
+# -- a model evaluates each point once -----------------------------------------
 
 
 def evaluate_all(model, v, th, mu, nu):
@@ -136,39 +132,40 @@ def test_memo_returns_the_bits_of_a_fresh_model_at_points_a_b_a(monkeypatch):
     m, rng = random_model(4, n=6)
     a, b = random_state(rng, m.n), random_state(rng, m.n)
     mu, nu = rng.normal(size=m.n), rng.normal(size=m.n)
-    memo = m.memoized()
     builds = []
     real_t = InjectionModel._t
     monkeypatch.setattr(InjectionModel, "_t", lambda self, *x: builds.append(1) or real_t(self, *x))
     for v, th in (a, b, a):
-        got = [as_bits(evaluate_all(memo, v, th, mu, nu)) for _ in range(2)]
+        got = [as_bits(evaluate_all(m, v, th, mu, nu)) for _ in range(2)]
         before = len(builds)
-        fresh = as_bits(evaluate_all(InjectionModel(m.g, m.b), v, th, mu, nu))
-        assert len(builds) - before == 4  # the shared model keeps nothing
+        fresh = as_bits(evaluate_all(InjectionModel(m.y), v, th, mu, nu))
+        assert len(builds) - before == 1  # a fresh model builds one T for all four methods
         assert got == [fresh, fresh]
-    assert len(builds) - 3 * 4 == 3  # the memoized copy: one T per point of A, B, A
+    assert len(builds) - 3 * 1 == 3  # m itself: one T per point of A, B, A
 
 
 def test_memo_follows_the_values_of_v_written_in_place():
     m, rng = random_model(8)
     v, th = random_state(rng, m.n)
-    memo = m.memoized()
+    memo = InjectionModel(m.y)
     p_before, _ = memo.injections(v, th)
     blocks_before = memo.jacobian(v, th)
     v *= 1.01  # the caller's array, written in place after the calls
     p_after, _ = memo.injections(v, th)
-    fresh = InjectionModel(m.g, m.b)
+    fresh = InjectionModel(m.y)
     assert p_after.tobytes() == fresh.injections(v, th)[0].tobytes()
     assert as_bits(memo.jacobian(v, th)) == as_bits(fresh.jacobian(v, th))
     assert p_after.tobytes() != p_before.tobytes()
     assert as_bits(memo.jacobian(v, th)) != as_bits(blocks_before)
 
 
-@pytest.mark.parametrize("memoized", [True, False])
-def test_kept_arrays_refuse_writes(memoized):
+@pytest.mark.parametrize("moved", [True, False])
+def test_kept_arrays_refuse_writes(moved):
+    # moved: the model kept another point first, so these arrays replace it
     m, rng = random_model(9)
-    model = m.memoized() if memoized else m
     v, th = random_state(rng, m.n)
-    for arr in (*model.injections(v, th), *model.jacobian(v, th)):
+    if moved:
+        m.jacobian(*random_state(rng, m.n))
+    for arr in (*m.injections(v, th), *m.jacobian(v, th)):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0.0

@@ -301,6 +301,13 @@ class TestAggregation:
         agg = aggregate_hours(hours, mode="max")
         assert agg.records[0].os_q == pytest.approx(5.0)
 
+    def test_max_mode_scores_the_peak_magnitudes_not_the_peak_score(self):
+        # hour A has q only, hour B v only: each hour scores 0.5, but the
+        # peaks |os_q| = |os_v| = 1 score 1.0
+        hours = [[raw(1, 1.0, 0.0)], [raw(1, 0.0, -1.0)]]
+        (rec,) = aggregate_hours(hours, ScoreWeights(0.5, 0.5), mode="max").records
+        assert (rec.os_q, rec.os_v, rec.s_score) == (1.0, 1.0, 1.0)
+
     def test_all_hours_unreliable_gives_empty_ranking(self):
         agg = aggregate_hours([[raw(1, 1.0, 0.0, reliable=False)]])
         assert agg.records == () and agg.hours_excluded == 1

@@ -215,13 +215,13 @@ class TestCaseStructure:
     def test_one_structure_per_case_and_none_per_fd_oracle(self, microgrid9, monkeypatch):
         net, demand = microgrid9
         builds = []
-        real_init = powerflow.InjectionModel.__init__
+        real_init = acopf.OpfStructure.__init__
 
         def counting_init(self, *args):
             builds.append(1)
             real_init(self, *args)
 
-        monkeypatch.setattr(powerflow.InjectionModel, "__init__", counting_init)
+        monkeypatch.setattr(acopf.OpfStructure, "__init__", counting_init)
         for scenario in (Scenario(CaseId.ECONOMIC), self.stressed_old(net)):
             builds.clear()
             _, problems = run_recording(scenario, net, demand, monkeypatch)
@@ -268,7 +268,7 @@ class TestCaseStructure:
     def test_two_threads_on_one_structure_keep_their_own_point_memo(self, microgrid9, monkeypatch):
         # eight voltage-stress hours, six of them infeasible (restoration runs),
         # on two threads: each solve's injection memo is its own, and the
-        # structure's model keeps none
+        # structure holds no injection model and no writable array
         net, demand = microgrid9
         scenario = Scenario(CaseId.VOLTAGE_STRESS, pf_overrides=uniform_stress(net, 0.85))
         _, problems = run_recording(scenario, net, demand, monkeypatch)
@@ -284,7 +284,38 @@ class TestCaseStructure:
             sys.setswitchinterval(interval)
         for a, b in zip(together, alone):
             assert_same_bits(a, b)
-        assert hours[0].structure.inj_model._memo is None
+        for value in vars(hours[0].structure).values():
+            assert not isinstance(value, powerflow.InjectionModel)
+            assert not (isinstance(value, np.ndarray) and value.flags.writeable)
+
+    def test_a_solve_builds_no_t_after_its_nlp_returns(self, microgrid9, monkeypatch):
+        # the reported mismatch and solver objective come from the solve's own
+        # injection model, which still holds the final point
+        net, demand = microgrid9
+        stress = uniform_stress(net, 0.85)
+        hours = []
+        for scenario in (
+            Scenario(CaseId.ECONOMIC),
+            Scenario(CaseId.VOLTAGE_STRESS, pf_overrides=stress),
+            self.stressed_old(net),
+        ):
+            hours += run_recording(scenario, net, demand, monkeypatch)[1][8:16]
+        builds, at_return = [], []
+        real_t, real_solve_nlp = powerflow.InjectionModel._t, acopf.solve_nlp
+
+        def recording_solve_nlp(*args):
+            res = real_solve_nlp(*args)
+            at_return.append(len(builds))
+            return res
+
+        monkeypatch.setattr(powerflow.InjectionModel, "_t",
+                            lambda self, *x: builds.append(1) or real_t(self, *x))
+        monkeypatch.setattr(acopf, "solve_nlp", recording_solve_nlp)
+        statuses = set()
+        for problem in hours:
+            statuses.add(acopf.solve(problem).status)
+            assert len(builds) == at_return[-1]
+        assert statuses == {acopf.OpfStatus.OPTIMAL, acopf.OpfStatus.INFEASIBLE}
 
     def test_hour_without_p_load_pins_its_shed_variable(self, microgrid9, monkeypatch):
         # bus 7 sheds in hour 15 of Case 3; with its P demand (not Q) zeroed
@@ -345,6 +376,26 @@ class TestFourCaseStudy:
         assert c3.load_shed > 0.0
         assert c4.load_served == pytest.approx(c1.load_served, abs=1e-6)
         assert c4.load_shed == 0.0
+
+    @pytest.mark.parametrize("stressed, cost", [(False, 23159.80), (True, 23203.93)])
+    def test_case4_carries_the_stress_only_with_the_flag(
+        self, microgrid9, study9, monkeypatch, stressed, cost
+    ):
+        # Cases 1-3 are the shared study's (same inputs); Case 4 is solved here
+        net, demand = microgrid9
+        scenarios = []
+
+        def reusing_run_case(scenario, network, demand):
+            scenarios.append(scenario)
+            if scenario.case_id is CaseId.CAP_ENHANCED:
+                return run_case(scenario, network, demand)
+            return study9.cases[scenario.case_id]
+
+        monkeypatch.setattr(study, "run_case", reusing_run_case)
+        result = run_four_case_study(net, demand, case4_stressed=stressed)
+        assert [sc.case_id for sc in scenarios] == list(study9.cases)
+        assert scenarios[-1].pf_overrides == (uniform_stress(net, 0.85) if stressed else None)
+        assert result.case(4).total_cost == pytest.approx(cost, abs=0.005)
 
     def test_top_two_stable_across_unshedding_cases(self, study9):
         c1, c2, c4 = (study9.case(i) for i in (1, 2, 4))
