@@ -20,6 +20,13 @@ Hessian is indefinite. Each inertia trial is one Bunch-Kaufman LDL^T
 factorization: the inertia is read off its block-diagonal D and, when it is
 right, the Newton step is taken from the same factors.
 
+LAPACK's dsytrf and dsytrs come from the OpenBLAS that a numpy wheel bundles
+and has already loaded: its ILP64 symbols are bound once, through ctypes, at
+import. Each call allocates the arrays LAPACK writes (ipiv, work, info), as
+ctypes releases the GIL and concurrent solves must not share them; only the
+read-only sizes are cached. A numpy without a bundled OpenBLAS falls back to
+scipy.linalg.lapack, the same routines.
+
 Each point is evaluated once. A `_Point` expands x to full length once,
 computes f, grad, the Jacobian and c on first use and keeps them, and an
 accepted trial point becomes the current point with the values its
@@ -43,11 +50,12 @@ where a bound is infinite.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
+from pathlib import Path
 
 import numpy as np
-from scipy.linalg import lapack
 
 _FROZEN_GAP = 1e-11
 _MU_INIT = 1e-1
@@ -151,6 +159,15 @@ class _Funcs:
         full[self.free] = x
         return full
 
+    def split(self, a):
+        """(free, pinned) columns of a. A boolean column selection returns a
+        matrix F-ordered, and that layout sets how J.T @ lam rounds; so with
+        nothing pinned the free part is a itself in F order (no copy for a
+        vector) and the pinned part is empty."""
+        if self.free_block is None:
+            return np.asfortranarray(a), a[..., :0]
+        return a[..., self.free], a[..., self.frozen]
+
     def hess(self, pt, lam, sigma):
         """The Lagrangian Hessian at pt on the free variables; with nothing pinned,
         the callback's own array, which the elastic one rewrites on its next call."""
@@ -211,13 +228,11 @@ class _Point:
 
     @cached_property
     def _grad(self):
-        g = np.asarray(self.fn.prob.gradient(self.full), dtype=float)
-        return g[self.fn.free], g[self.fn.frozen]
+        return self.fn.split(np.asarray(self.fn.prob.gradient(self.full), dtype=float))
 
     @cached_property
     def _jac(self):
-        jac = np.asarray(self.fn.prob.jacobian(self.full), dtype=float)
-        return jac[:, self.fn.free], jac[:, self.fn.frozen]
+        return self.fn.split(np.asarray(self.fn.prob.jacobian(self.full), dtype=float))
 
     g = property(lambda self: self._grad[0])
     g_pinned = property(lambda self: self._grad[1])
@@ -267,20 +282,106 @@ def _max_step(z, dz, tau):
     return max(min(1.0, float((-tau * z[shrink] / dz[shrink]).min())), 0.0)
 
 
-@cache
-def _dsytrf_lwork(size):
-    return int(lapack.dsytrf_lwork(size, lower=1)[0])  # full size: blocked code
+def _bundled_openblas():
+    """The OpenBLAS libraries of a numpy wheel: numpy.libs beside the package
+    (Linux, Windows) or numpy/.dylibs (macOS)."""
+    pkg = Path(np.__file__).resolve().parent
+    return [*sorted((pkg.parent / "numpy.libs").glob("*openblas*")),
+            *sorted((pkg / ".dylibs").glob("*openblas*"))]
+
+
+def _bind_lapack(paths):
+    """(sytrf, sytrs): lower Bunch-Kaufman factor and solve, from the first
+    library in paths that exports ILP64 dsytrf and dsytrs, else from scipy.
+
+    sytrf(a) factors the F-ordered float array a in place and returns
+    (ldu, ipiv, info), ipiv 1-based and negative on 2x2 pivots; sytrs(ldu,
+    ipiv, b) returns (x, info). An info below zero is a bad argument."""
+    for path in paths:
+        lib = ctypes.CDLL(str(path))
+        for prefix in ("scipy_", ""):  # numpy >= 2 wheels, then numpy 1.x wheels
+            trf = getattr(lib, f"{prefix}dsytrf_64_", None)
+            trs = getattr(lib, f"{prefix}dsytrs_64_", None)
+            if trf is not None and trs is not None:
+                return _ilp64_pair(trf, trs)
+    from scipy.linalg import lapack  # a numpy without a bundled OpenBLAS
+
+    lwork = cache(lambda size: int(lapack.dsytrf_lwork(size, lower=1)[0]))
+    return (
+        lambda a: lapack.dsytrf(a, lower=1, lwork=lwork(a.shape[0]), overwrite_a=1),
+        lambda ldu, ipiv, b: lapack.dsytrs(ldu, ipiv, b, lower=1),
+    )
+
+
+def _ilp64_pair(trf, trs):
+    """sytrf and sytrs over the Fortran routines trf and trs, in the gfortran
+    ABI: every argument by reference, integers 64-bit, and the hidden length
+    of the uplo string last, as a size_t. Shapes, dtypes and layouts are
+    checked here, before any pointer is passed."""
+    i64, ref, ptr = ctypes.c_int64, ctypes.byref, ctypes.POINTER(ctypes.c_int64)
+    trf.argtypes = [ctypes.c_char_p, ptr, ctypes.c_void_p, ptr, ctypes.c_void_p,
+                    ctypes.c_void_p, ptr, ptr, ctypes.c_size_t]
+    trs.argtypes = [ctypes.c_char_p, ptr, ptr, ctypes.c_void_p, ptr, ctypes.c_void_p,
+                    ctypes.c_void_p, ptr, ptr, ctypes.c_size_t]
+    trf.restype = trs.restype = None
+    one = ref(i64(1))
+
+    def at(a):
+        """A reference to a's first element that holds a's buffer while it
+        lives, that is, to the end of the call it is passed to. An F-ordered
+        matrix is passed as its transpose, a C-ordered view of one buffer."""
+        return ref(ctypes.c_char.from_buffer(a))
+
+    @cache
+    def sizes(size):
+        """(n, lda, lwork) by reference and lwork's value, read-only and so
+        shared by every call; lwork is the workspace query's optimum
+        (lwork = -1), which selects the blocked code, as scipy's
+        dsytrf_lwork does."""
+        n, lda, opt, info = ref(i64(size)), ref(i64(max(1, size))), ctypes.c_double(), i64()
+        trf(b"L", n, None, lda, None, ref(opt), ref(i64(-1)), ref(info), 1)
+        lwork = max(1, int(opt.value))
+        return n, lda, ref(i64(lwork)), lwork
+
+    def square_f64(a):
+        return a.dtype == np.float64 and a.flags.f_contiguous and a.shape == a.shape[:1] * 2
+
+    def sytrf(a):
+        if not square_f64(a):
+            raise TypeError("dsytrf needs a square F-ordered float64 matrix")
+        n, lda, lwork, size = sizes(a.shape[0])
+        # LAPACK writes these, so they are fresh on every call
+        ipiv, work, info = np.empty(a.shape[0], np.int64), np.empty(size), i64()
+        trf(b"L", n, at(a.T), lda, at(ipiv), at(work), lwork, ref(info), 1)
+        return a, ipiv, info.value
+
+    def sytrs(ldu, ipiv, b):
+        if not (square_f64(ldu) and ipiv.dtype == np.int64 and ipiv.shape == np.shape(b) == ldu.shape[:1]):
+            raise TypeError("dsytrs needs sytrf's factor and pivots and one right-hand side")
+        n, lda, _, _ = sizes(ldu.shape[0])
+        x, info = np.array(b, dtype=np.float64), i64()
+        trs(b"L", n, one, at(ldu.T), lda, at(ipiv), at(x), lda, ref(info), 1)
+        return x, info.value
+
+    return sytrf, sytrs
+
+
+_sytrf, _sytrs = _bind_lapack(_bundled_openblas())
 
 
 def _solve_kkt(kkt, rhs, n, m):
     """Check the inertia of the KKT system and solve it, both from one
-    Bunch-Kaufman LDL^T factorization (dsytrf, then dsytrs) of the matrix under
-    symmetric equilibration (a congruence, so inertia is preserved), which keeps
-    the zero-eigenvalue test meaningful when barrier terms dominate. kkt itself
-    is never written to.
+    Bunch-Kaufman LDL^T factorization (dsytrf, then dsytrs, bound at import
+    from numpy's OpenBLAS or scipy's) of the matrix under symmetric
+    equilibration (a congruence, so inertia is preserved), which keeps the
+    zero-eigenvalue test meaningful when barrier terms dominate. kkt itself is
+    never written to: the equilibrated copy is factored in place, and the
+    pivots, workspace and step are fresh arrays on every call, so concurrent
+    calls share nothing LAPACK writes.
 
     Raises ValueError on a non-finite entry, and LinAlgError with 'inertia' or
     'zero' in the message when the direction would not be a descent direction.
+    An exact zero pivot (info > 0) is a zero eigenvalue of D.
     """
     norms = np.abs(kkt).max(axis=1)
     d = 1.0 / np.sqrt(np.maximum(norms, 1e-12))
@@ -288,7 +389,9 @@ def _solve_kkt(kkt, rhs, n, m):
     scaled *= d[None, :]
     if not np.isfinite(scaled).all():
         raise ValueError("array must not contain infs or NaNs")
-    ldu, ipiv, _ = lapack.dsytrf(scaled, lower=1, lwork=_dsytrf_lwork(d.size), overwrite_a=1)
+    ldu, ipiv, info = _sytrf(scaled)
+    if info < 0:
+        raise RuntimeError(f"dsytrf rejected argument {-info}")
     pos, neg, zero = _inertia(ldu, ipiv)
     if zero > 0:
         raise np.linalg.LinAlgError(f"kkt matrix has {zero} zero eigenvalues")
@@ -296,7 +399,9 @@ def _solve_kkt(kkt, rhs, n, m):
         raise np.linalg.LinAlgError(
             f"wrong inertia ({pos},{neg},{zero}), expected ({n},{m},0)"
         )
-    step, _ = lapack.dsytrs(ldu, ipiv, d * rhs, lower=1)
+    step, info = _sytrs(ldu, ipiv, d * rhs)
+    if info < 0:
+        raise RuntimeError(f"dsytrs rejected argument {-info}")
     return d * step
 
 

@@ -2,12 +2,16 @@ import csv
 import filecmp
 import os
 import shutil
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 
+import gridcap
 from gridcap.acopf import SolverOptions
-from gridcap import cli
+from gridcap import cli, ipm
 from gridcap.cli import _solver_options, main, make_parser
 from gridcap.fixtures import fixture_path
 from gridcap.reporting import read_rows
@@ -24,6 +28,24 @@ def study_dir(tmp_path_factory):
     code = main(["study", "--network", NET9, "--demand", DEM9, "--out", str(out)])
     assert code == 0
     return str(out)
+
+
+@pytest.mark.skipif(not ipm._bundled_openblas(), reason="numpy bundles no OpenBLAS: LAPACK is scipy's")
+def test_cli_and_a_study_import_no_scipy(tmp_path):
+    # a fresh interpreter: scipy is a test dependency only
+    script = (
+        "import sys\n"
+        "import gridcap.cli\n"
+        f"code = gridcap.cli.main(['study', '--network', {NET9!r}, '--demand', {DEM9!r}, "
+        f"'--out', {str(tmp_path)!r}])\n"
+        "print(code, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(gridcap.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                         timeout=300, check=True)
+    assert out.stdout.splitlines()[-1] == "0 []"
+    assert (tmp_path / "case4_hourly.csv").is_file()
 
 
 def rows(path):

@@ -1,4 +1,7 @@
 import dataclasses
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -341,7 +344,8 @@ def d_sign_counts(d):
     return int((evs > tol).sum()), int((evs < -tol).sum()), int((np.abs(evs) <= tol).sum())
 
 
-def kkt_like_cases():
+def kkt_like_systems():
+    """(kkt, n, m) of 60 random KKT-like matrices, with and without 2x2 pivots."""
     rng = np.random.default_rng(17)
     for _ in range(60):
         n, m = int(rng.integers(1, 25)), int(rng.integers(0, 12))
@@ -352,7 +356,11 @@ def kkt_like_cases():
         kkt[:n, n:] = jac.T
         kkt[n:, :n] = jac
         kkt[n:, n:] = -np.eye(m) * rng.choice([0.0, 1e-8, 1.0])
-        yield kkt
+        yield kkt, n, m
+
+
+def kkt_like_cases():
+    return (kkt for kkt, _, _ in kkt_like_systems())
 
 
 def test_inertia_matches_eigvalsh_of_d_on_kkt_like_matrices():
@@ -418,6 +426,142 @@ def test_solve_kkt_rejects_non_finite_entry():
         _solve_kkt(kkt, rhs, n, m)
 
 
+# -- the LAPACK binding -------------------------------------------------------
+
+SCIPY_PAIR = ipm._bind_lapack([])  # the fallback of a numpy without OpenBLAS
+
+
+def use_scipy_pair(mp):
+    mp.setattr(ipm, "_sytrf", SCIPY_PAIR[0])
+    mp.setattr(ipm, "_sytrs", SCIPY_PAIR[1])
+
+
+def outcome(kkt, rhs, n, m):
+    """_solve_kkt's step, or the type and message of what it raised."""
+    try:
+        return _solve_kkt(kkt, rhs, n, m)
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.skipif(not ipm._bundled_openblas(), reason="numpy bundles no OpenBLAS")
+def test_lapack_is_bound_from_numpys_openblas():
+    # the bound pair writes 64-bit pivots; scipy's wrapper returns 32-bit ones
+    ldu, ipiv, info = ipm._sytrf(np.asfortranarray(quasi_definite_kkt()[0]))
+    assert ipiv.dtype == np.int64 and info == 0
+
+
+def test_binding_matches_scipy_factor_by_factor():
+    rng = np.random.default_rng(23)
+    pivots = set()
+    for a in [*symmetric_cases(), *kkt_like_cases()]:
+        ldu, ipiv, info = ipm._sytrf(np.asfortranarray(a))
+        ref_ldu, ref_ipiv, ref_info = scipy.linalg.lapack.dsytrf(a, lower=1)
+        assert info == ref_info
+        assert _inertia(ldu, ipiv) == _inertia(ref_ldu, ref_ipiv)
+        assert np.array_equal(ipiv < 0, ref_ipiv < 0)
+        pivots.add(bool((ipiv < 0).any()))
+        if info == 0:  # else a pivot is exactly zero and there is no step
+            b = rng.standard_normal(a.shape[0])
+            step, step_info = ipm._sytrs(ldu, ipiv, b)
+            ref_step, _ = scipy.linalg.lapack.dsytrs(ref_ldu, ref_ipiv, b, lower=1)
+            assert step_info == 0
+            assert np.abs(step - ref_step).max() <= 1e-13 * np.abs(ref_step).max()
+    assert pivots == {True, False}
+
+
+def test_fallback_gives_the_bound_pairs_verdicts_and_steps():
+    rng = np.random.default_rng(29)
+    systems = [quasi_definite_kkt(), *((k, rng.standard_normal(n + m), n, m) for k, n, m in kkt_like_systems())]
+    verdicts = set()
+    for kkt, rhs, n, m in systems:
+        got = outcome(kkt, rhs, n, m)
+        with pytest.MonkeyPatch.context() as mp:
+            use_scipy_pair(mp)
+            want = outcome(kkt, rhs, n, m)
+        if isinstance(want, str) or isinstance(got, str):
+            assert got == want
+            verdicts.add("zero" if "zero" in got else "inertia")
+        else:
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+            verdicts.add("step")
+    assert {"step", "inertia"} <= verdicts
+
+
+def test_fallback_rejects_what_the_bound_pair_rejects(monkeypatch):
+    # the bound pair's rejections are the test_solve_kkt_rejects_* tests
+    kkt, rhs, n, m = quasi_definite_kkt()
+    singular = kkt.copy()
+    singular[n, :] = 0.0
+    singular[:, n] = 0.0
+    for sytrf in (ipm._sytrf, SCIPY_PAIR[0]):
+        assert sytrf(np.asfortranarray(singular))[2] > 0  # LAPACK's info: an exact zero pivot
+    use_scipy_pair(monkeypatch)
+    with pytest.raises(np.linalg.LinAlgError, match="zero"):
+        _solve_kkt(singular, rhs, n, m)
+    kkt[3, 3] = np.nan
+    with pytest.raises(ValueError):
+        _solve_kkt(kkt, rhs, n, m)
+
+
+@pytest.mark.skipif(not ipm._bundled_openblas(), reason="numpy bundles no OpenBLAS")
+def test_binding_checks_what_it_hands_to_lapack():
+    kkt, rhs, _, _ = quasi_definite_kkt()
+    # the factor is read back as column-major: in a C-ordered buffer the
+    # lower triangle would still hold the input, not L
+    assert not kkt.flags.f_contiguous
+    for bad in (kkt, np.asfortranarray(kkt[:, :-1]), np.asfortranarray(kkt, dtype=np.float32)):
+        with pytest.raises(TypeError):
+            ipm._sytrf(bad)
+    ldu, ipiv, _ = ipm._sytrf(np.asfortranarray(kkt))
+    for factor, pivots, b in ((ldu, ipiv.astype(np.int32), rhs), (ldu, ipiv[:-1], rhs), (ldu, ipiv, rhs[:-1]),
+                              (ldu.astype(np.float32), ipiv, rhs), (np.ascontiguousarray(ldu), ipiv, rhs)):
+        with pytest.raises(TypeError):
+            ipm._sytrs(factor, pivots, b)
+
+
+def concurrent_systems():
+    """48 KKT-like systems of one size, 220, half of them of the right inertia."""
+    rng = np.random.default_rng(31)
+    n, m = 160, 60
+    for k in range(48):
+        h = rng.standard_normal((n, n))
+        jac = rng.standard_normal((m, n))
+        kkt = np.zeros((n + m, n + m))
+        kkt[:n, :n] = h @ h.T + np.eye(n) if k % 2 else h + h.T
+        kkt[:n, n:] = jac.T
+        kkt[n:, :n] = jac
+        yield kkt, rng.standard_normal(n + m), n, m
+
+
+def test_two_threads_solve_kkt_systems_as_one_does():
+    # ctypes releases the GIL in LAPACK, so two factorizations run at once;
+    # pivots, workspace and info must be each call's own
+    systems = list(concurrent_systems())
+    alone = [outcome(*s) for s in systems]
+    assert {isinstance(o, str) for o in alone} == {True, False}
+    order = list(range(len(systems)))
+    barrier = threading.Barrier(2)
+
+    def run(indices):
+        barrier.wait()
+        return [(i, outcome(*systems[i])) for i in indices for _ in range(2)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            runs = list(pool.map(run, [order, order[::-1]], timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for results in runs:
+        for i, got in results:
+            if isinstance(alone[i], str):
+                assert got == alone[i]
+            else:
+                assert not isinstance(got, str) and got.tobytes() == alone[i].tobytes()
+
+
 # -- each point is evaluated once ---------------------------------------------
 
 VALUE_CALLBACKS = ("objective", "gradient", "constraints", "jacobian")
@@ -468,6 +612,28 @@ def test_cold_opf_solve_evaluates_each_point_once(microgrid9, monkeypatch, hour)
     assert sol.status is acopf.OpfStatus.OPTIMAL
     ((seen, res),) = runs
     assert_each_point_evaluated_once(seen, res)
+
+
+@pytest.mark.parametrize("pinned", [False, True])
+def test_point_splits_columns_only_when_something_is_pinned(pinned):
+    # with nothing pinned the point keeps the callback's gradient and an
+    # F-ordered Jacobian, the layout a column selection gives, so J.T @ lam
+    # rounds as it did through the selection
+    rng = np.random.default_rng(37)
+    n, m = 60, 40
+    jac, grad, lam = rng.standard_normal((m, n)), rng.standard_normal(n), rng.standard_normal(m)
+    upper = np.ones(n)
+    if pinned:
+        upper[[3, 17]] = 0.0
+    prob = NlpProblem(np.zeros(n), np.zeros(n), upper, m, lambda x: 0.0, lambda x: grad,
+                      lambda x: np.zeros(m), lambda x: jac, lambda x, lam, s: np.eye(n))
+    fn = _Funcs(prob)
+    pt = _Point(fn, np.full(fn.n, 0.5))
+    assert pt.J.flags.f_contiguous
+    assert (pt.J.T @ lam).tobytes() == (jac[:, fn.free].T @ lam).tobytes()
+    assert np.array_equal(pt.J, jac[:, fn.free]) and np.array_equal(pt.g, grad[fn.free])
+    assert np.array_equal(pt.J_pinned, jac[:, fn.frozen]) and np.array_equal(pt.g_pinned, grad[fn.frozen])
+    assert (pt.g is grad) == (not pinned) and pt.J_pinned.shape == (m, 2 if pinned else 0)
 
 
 def test_pinned_multiplier_recovery_evaluates_no_point_again():
