@@ -190,10 +190,12 @@ class OpfProblem:
             raise ValidationError("structure is for another network or objective")
         n = net.n_bus
 
-        def as_bus_array(arr, name, default):
+        def as_bus_array(arr, name, default, positive=False):
             out = default if arr is None else np.asarray(arr, dtype=float)
             if out.shape != (n,):
                 raise ValidationError(f"{name} must have one entry per bus ({n})")
+            if not np.isfinite(out).all() or (positive and np.any(out <= 0.0)):
+                raise ValidationError(f"{name} must be finite{' and > 0' if positive else ''}")
             return out.copy()
 
         self.p_d = as_bus_array(self.p_d, "p_d", np.zeros(n))
@@ -202,10 +204,8 @@ class OpfProblem:
         self.q_inj = as_bus_array(self.q_inj, "q_inj", np.zeros(n))
         if np.any(self.p_d < 0.0):
             raise ValidationError("p_d must be >= 0 (true demand); model injections via p_inj")
-        if not (np.isfinite(self.p_d).all() and np.isfinite(self.q_d).all()):
-            raise ValidationError("demand must be finite")
-        self.v_min = as_bus_array(self.v_min, "v_min", st.v_min)
-        self.v_max = as_bus_array(self.v_max, "v_max", st.v_max)
+        self.v_min = as_bus_array(self.v_min, "v_min", st.v_min, positive=True)
+        self.v_max = as_bus_array(self.v_max, "v_max", st.v_max, positive=True)
         if np.any(self.v_min > self.v_max):
             raise ValidationError("v_min override exceeds v_max")
         if self.dt <= 0.0:
@@ -312,7 +312,7 @@ class OpfSolution:
     p_g: np.ndarray  # MW
     q_g: np.ndarray  # Mvar
     shed: np.ndarray  # fraction per island bus, zeros unless OLD
-    lambda_p: np.ndarray  # $ / p.u. P
+    lambda_p: np.ndarray  # $ / p.u. P, loss form (the NLP's plus _loss_price)
     lambda_q: np.ndarray  # $ / p.u. Q
     mu_v_max: np.ndarray  # $ / p.u. V
     mu_v_min: np.ndarray
@@ -324,7 +324,7 @@ class OpfSolution:
     mu_shed_min: np.ndarray
     mismatch: np.ndarray  # per-bus max(|dP|, |dQ|), p.u.
     objective_value: float  # $, per the problem objective
-    solver_objective: float  # $, including tie-break scalarization terms
+    solver_objective: float  # $, tie-breaks in the loss form (see _loss_price)
     iterations: int  # every IPM iteration the solve ran
     mu_final: float
     s_base: float
@@ -351,35 +351,37 @@ class OpfSolution:
         return self.lambda_q / self.s_base
 
 
+def _loss_price(problem: OpfProblem) -> float:
+    """$ per p.u. of network loss: eps_loss * cost_scale * s_base. As the P
+    balance gives sum p_g = sum p_eff + losses, the NLP charges it on p_g and
+    on shed P load instead, with the same optimum. The loss form adds it to
+    lambda_p, and it times (sum p_fix - sum p_load) to the objective."""
+    return problem.options.eps_loss * problem.structure.cost_scale * problem.network.s_base
+
+
 def _assemble_nlp(problem: OpfProblem, x0, f_scale, model: InjectionModel):
-    """IPM callbacks for one hour, scaled by f_scale, and the unscaled solver
-    objective in $, all evaluating injections on the caller's model, so that
-    they share each point's T. Only the hour's pieces are formed here: the
-    shed Jacobian columns and weights; the bounds are the problem's own."""
+    """IPM callbacks for one hour, scaled by f_scale, and the unscaled NLP
+    objective in $, which reads only p_g and shed (the loss tie-break is
+    _loss_price on both). The rest evaluate injections on the caller's model,
+    sharing each point's T. Only the hour's pieces are formed here: the shed
+    Jacobian columns and weights; the bounds are the problem's own."""
     pr, st = problem, problem.structure
     n, s = st.n, st.network.s_base
     c2, c1, c0 = st.c2, st.c1, st.c0
-    eps1 = pr.options.eps_pg * st.cost_scale
-    eps2 = pr.options.eps_loss * st.cost_scale
-    shed_w = pr.options.voll_rate * pr.p_load[st.shed_pos] * s * pr.dt
+    price = _loss_price(pr)
+    pg_w = pr.options.eps_pg * st.cost_scale * s + price  # $ per p.u. of p_g
+    shed_w = (pr.options.voll_rate * s * pr.dt + price) * pr.p_load[st.shed_pos]
 
     def value(x):
-        theta, v, pg, qg, sh = st._split(x)
-        pg_mw = pg * s
+        pg_mw = x[st.sl_pg] * s
         f = float(np.sum(c2 * pg_mw**2 + c1 * pg_mw + c0))
-        f += eps1 * float(pg_mw.sum())
-        f += eps2 * s * model.losses(v, theta)
-        f += float(shed_w @ sh)
+        f += pg_w * float(x[st.sl_pg].sum())
+        f += float(shed_w @ x[st.sl_s])
         return f
 
     def gradient(x):
-        theta, v, pg, qg, sh = st._split(x)
         g = np.zeros(st.nx)
-        pg_mw = pg * s
-        g[st.sl_pg] = (2.0 * c2 * pg_mw + c1) * s + eps1 * s
-        dp_dth, dp_dv, _, _ = model.jacobian(v, theta)
-        g[st.sl_th] = eps2 * s * dp_dth.sum(axis=0)[st.nonslack]
-        g[st.sl_v] = eps2 * s * dp_dv.sum(axis=0)
+        g[st.sl_pg] = (2.0 * c2 * x[st.sl_pg] * s + c1) * s + pg_w
         g[st.sl_s] = shed_w
         return f_scale * g
 
@@ -405,17 +407,12 @@ def _assemble_nlp(problem: OpfProblem, x0, f_scale, model: InjectionModel):
     def objective(x):
         return f_scale * value(x)
 
-    eps2s = eps2 * s
-    ones = np.ones(n)
     ns_idx, th_block = st.nonslack, st.th_block
 
     def hess_lag(x, lam, sigma):
         theta, v, pg, qg, sh = st._split(x)
-        lam_p, lam_q = lam[:n], lam[n:]
-        # constraint part carries -injections; objective loss term adds +eps2
-        mu_w = -lam_p + sigma * f_scale * eps2s * ones
-        nu_w = -lam_q
-        h_thth, h_vth, h_vv = model.hessian_weighted(v, theta, mu_w, nu_w)
+        # only the constraints, which carry -injections, depend on (V, theta)
+        h_thth, h_vth, h_vv = model.hessian_weighted(v, theta, -lam[:n], -lam[n:])
         h = np.zeros((st.nx, st.nx))
         h[st.sl_th, st.sl_th] = h_thth[th_block]
         h[st.sl_v, st.sl_v] = h_vv
@@ -439,7 +436,7 @@ def _flat_start(problem: OpfProblem):
 
 def _solution_point(problem: OpfProblem, sol: OpfSolution):
     """(x, lam, z_lower, z_upper) of sol in problem's NLP variable layout, in
-    true (unscaled) units."""
+    true (unscaled) units; lam is the NLP's, lambda_p less _loss_price."""
     st = problem.structure
     if tuple(sol.bus_ids) != st.island_bus_ids:
         raise ValidationError("solution is for a different island")
@@ -458,7 +455,7 @@ def _solution_point(problem: OpfProblem, sol: OpfSolution):
         (st.sl_s, sol.mu_shed_min[st.shed_pos], sol.mu_shed_max[st.shed_pos]),
     ):
         zl[sl], zu[sl] = lo, hi
-    return x, np.concatenate([sol.lambda_p, sol.lambda_q]), zl, zu
+    return x, np.concatenate([sol.lambda_p - _loss_price(problem), sol.lambda_q]), zl, zu
 
 
 def solve(problem: OpfProblem, warm_start: OpfSolution = None) -> OpfSolution:
@@ -493,12 +490,13 @@ def solve(problem: OpfProblem, warm_start: OpfSolution = None) -> OpfSolution:
     status = {"optimal": OpfStatus.OPTIMAL, "max_iter": OpfStatus.MAX_ITERATIONS,
               "infeasible": OpfStatus.INFEASIBLE}[res.status]
 
-    s = st.network.s_base
+    s, n, price = st.network.s_base, st.n, _loss_price(pr)
     theta, v, pg, qg, sh = st._split(res.x)
     lam_true = res.lam / f_scale
+    if status is not OpfStatus.INFEASIBLE:  # an infeasible end reports no multipliers
+        lam_true[:n] += price  # back to the loss form
     zl = res.z_lower / f_scale
     zu = res.z_upper / f_scale
-    n = st.n
 
     p_g_mw = pg * s
     q_g_mvar = qg * s
@@ -528,7 +526,7 @@ def solve(problem: OpfProblem, warm_start: OpfSolution = None) -> OpfSolution:
         mu_shed_min=pr.shed_fractions_full(zl[st.sl_s]),
         mismatch=mismatch,
         objective_value=objective_cost(p_g_mw, pr, shed),
-        solver_objective=value_fn(res.x),
+        solver_objective=value_fn(res.x) + price * float(pr.p_fix.sum() - pr.p_load.sum()),
         iterations=res.iterations,
         mu_final=res.mu,
         s_base=s,
@@ -552,7 +550,8 @@ class KktReport:
 def kkt_report(solution: OpfSolution, problem: OpfProblem) -> KktReport:
     """Recompute KKT residual norms from the returned point and multipliers,
     independently of solver internals. Stationarity is with respect to the
-    solver objective (including tie-break terms)."""
+    NLP's objective and multipliers; the loss form's objective differs by
+    _loss_price times the summed P balance rows, so its residual is the same."""
     pr = problem
     x, lam, zl, zu = _solution_point(pr, solution)
     nlp, _ = _assemble_nlp(pr, x, 1.0, InjectionModel(pr.structure.y))

@@ -9,10 +9,11 @@ part V_i V_j (G_ij sin t_ij - B_ij cos t_ij) with t_ij = theta_i - theta_j.
 Row sums give the bus injections P and Q; the same entries assemble the
 Jacobian and the multiplier-weighted Hessian in closed form.
 
-A point is evaluated once: a model keeps T, P, Q and the Jacobian blocks,
-read-only, at the last (V, theta) values it saw, so its four methods share
-them at one point. A model therefore has one owner, such as one solve; an
-OPF structure holds only the admittance matrix.
+A point is evaluated once: a model keeps T and (P, Q), read-only, at the
+last (V, theta) values it saw, so its four methods share them at one point;
+the Jacobian blocks and the Hessian are formed afresh on each call. A model
+therefore has one owner, such as one solve; an OPF structure holds only the
+admittance matrix.
 """
 
 from __future__ import annotations
@@ -65,8 +66,6 @@ class InjectionModel:
         """Partial derivative blocks (dp_dth, dp_dv, dq_dth, dq_dv), each (n, n)
         with [i, k] = d(injection at i)/d(variable at k)."""
         at = self._at(v, theta)
-        if "jac" in at:
-            return at["jac"]
         tr, ti = at["t"].real, at["t"].imag
         p, q = _pq(at)
         rd, sd = tr.diagonal(), ti.diagonal()
@@ -79,8 +78,7 @@ class InjectionModel:
         np.fill_diagonal(dp_dv, (p + rd) / v)
         dq_dv = ti / v[None, :]
         np.fill_diagonal(dq_dv, (q + sd) / v)
-        at["jac"] = _readonly(dp_dth, dp_dv, dq_dth, dq_dv)
-        return at["jac"]
+        return dp_dth, dp_dv, dq_dth, dq_dv
 
     def hessian_weighted(self, v, theta, mu, nu):
         """Hessian of sum_i (mu_i * P_i + nu_i * Q_i) over (theta, V).

@@ -8,12 +8,14 @@ from gridcap.acopf import (
     Objective,
     OpfProblem,
     OpfStatus,
+    OpfStructure,
     SolverOptions,
     kkt_report,
     objective_cost,
     solve,
 )
 from gridcap.model import ValidationError
+from gridcap.powerflow import InjectionModel
 
 # two-bus fixture constants (mirror data/two_bus.grid)
 R, X = 0.02, 0.1
@@ -398,6 +400,21 @@ class TestProblemValidation:
         with pytest.raises(ValidationError, match="finite"):
             OpfProblem(network=net, p_d=np.zeros(2), q_d=np.array([0.0, bad]))
 
+    @pytest.mark.parametrize("name, bad", [
+        ("p_inj", np.nan), ("q_inj", np.nan), ("p_inj", -np.inf), ("q_inj", np.inf),
+        ("v_min", -np.inf), ("v_min", np.nan), ("v_min", 0.0), ("v_min", -0.5),
+        ("v_max", np.nan), ("v_max", np.inf), ("v_max", 0.0),
+    ])
+    def test_non_finite_or_non_positive_hour_input_rejected(self, two_bus, name, bad):
+        # left unchecked, a NaN ends max_iterations with a NaN mismatch and a
+        # -inf v_min solves optimal with an unbounded voltage
+        net, _ = two_bus
+        arr = {"p_inj": np.zeros(2), "q_inj": np.zeros(2),
+               "v_min": np.full(2, 0.95), "v_max": np.full(2, 1.05)}[name]
+        arr[1] = bad
+        with pytest.raises(ValidationError, match=f"^{name} must be finite"):
+            OpfProblem(network=net, p_d=np.zeros(2), q_d=np.zeros(2), **{name: arr})
+
     def test_v_min_override_above_v_max_rejected(self, two_bus):
         net, _ = two_bus
         with pytest.raises(ValidationError, match="v_min override"):
@@ -415,3 +432,49 @@ class TestProblemValidation:
             OpfProblem(
                 network=dataclasses.replace(net, generators=()), p_d=np.zeros(2), q_d=np.zeros(2)
             )
+
+
+class TestLossTieBreakFold:
+    """The NLP prices the loss tie-break on p_g and on shed P load, which
+    rests on sum p_g = sum p_eff + losses; the reported lambda_p and
+    solver_objective stay in the loss form."""
+
+    @pytest.mark.parametrize("case", [1, 3])  # economic, and OLD with shedding
+    def test_generation_covers_effective_demand_plus_losses(self, microgrid9, study9, case):
+        net, _ = microgrid9
+        result = study9.case(case)
+        objective = Objective.OPTIMAL_LOAD_DELIVERY if case == 3 else Objective.ECONOMIC
+        model = InjectionModel(OpfStructure(net, objective).y)
+        sols = [h.solution for h in result.hours
+                if h.valid and h.solution.status is OpfStatus.OPTIMAL]
+        assert sols and (case == 1 or any(sol.shed_mw > 0.0 for sol in sols))
+        s, n = net.s_base, len(sols[0].bus_ids)
+        for sol in sols:
+            p_net, _ = model.injections(sol.v, sol.theta)
+            p_eff = ((1.0 - sol.shed) * sol.p_load_mw - sol.p_inj_mw) / s
+            gap = sol.p_g.sum() / s - p_eff.sum() - p_net.sum()
+            assert abs(gap) <= n * SolverOptions().feas_tol
+
+    @pytest.mark.parametrize("hour", [3, 12, 20])
+    def test_lambda_p_prices_demand_in_the_solver_objective(self, microgrid9, hour):
+        # leaving out the lambda_p shift or the objective's constant is off by
+        # about 8e-5 relative
+        net, demand = microgrid9
+        base = hour_problem(net, demand, hour)
+        sol = solve(base)
+        assert sol.status is OpfStatus.OPTIMAL
+        bus = 7
+        i, pos = net.bus_index(bus), sol.bus_ids.index(bus)
+        step = 1e-3 * net.s_base  # 1e-3 p.u., in MW
+        objs = []
+        for sign in (1.0, -1.0):
+            p_d = base.p_d.copy()
+            p_d[i] += sign * step
+            objs.append(solve(dataclasses.replace(base, p_d=p_d)).solver_objective)
+        fd = (objs[0] - objs[1]) / (2.0 * step)
+        assert fd == pytest.approx(-sol.lambda_p_per_mw[pos], rel=1e-6)
+
+    def test_infeasible_hour_reports_zero_lambda_p(self, study9):
+        sol = study9.case(2).hours[12].solution
+        assert sol.status is OpfStatus.INFEASIBLE
+        assert not sol.lambda_p.any() and not sol.lambda_q.any()

@@ -161,11 +161,12 @@ def test_memo_follows_the_values_of_v_written_in_place():
 
 @pytest.mark.parametrize("moved", [True, False])
 def test_kept_arrays_refuse_writes(moved):
-    # moved: the model kept another point first, so these arrays replace it
+    # moved: the model kept another point first, so these arrays replace it.
+    # A model keeps only T and (P, Q); the Jacobian blocks are new each call.
     m, rng = random_model(9)
     v, th = random_state(rng, m.n)
     if moved:
-        m.jacobian(*random_state(rng, m.n))
-    for arr in (*m.injections(v, th), *m.jacobian(v, th)):
+        m.injections(*random_state(rng, m.n))
+    for arr in m.injections(v, th):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0.0

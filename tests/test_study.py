@@ -8,7 +8,8 @@ import pytest
 from conftest import hour_problem
 from gridcap import acopf, powerflow, study
 from gridcap.model import DemandSeries, PfSign, ShuntCapacitor, ValidationError
-from gridcap.netfile import parse_demand
+from gridcap.fixtures import fixture_text
+from gridcap.netfile import parse_demand, parse_network
 from gridcap.sensitivity import FdQuantity, fd_oracle
 from gridcap.study import (
     CaseId,
@@ -510,6 +511,46 @@ class TestFourCaseStudy:
             assert a.avg_mismatch == b.avg_mismatch
             assert a.top_buses(3) == b.top_buses(3)
         assert again.placement == study9.placement
+
+
+def reversed_records(text, sections=("BUS", "BRANCH")):
+    """Network-file text with the records of each named section reversed."""
+    out, block = [], None
+    for line in text.splitlines():
+        head = line.strip().upper()
+        if block is None:
+            out.append(line)
+            if head in sections:
+                block = []
+        elif head == "END":
+            out += block[::-1] + [line]
+            block = None
+        else:
+            block.append(line)
+    return "\n".join(out) + "\n"
+
+
+class TestInputOrderInvariance:
+    def test_reversed_bus_and_branch_records_give_the_same_study(self, microgrid9, study9):
+        net = parse_network(reversed_records(fixture_text("microgrid9.grid")))
+        assert [b.id for b in net.buses] == [b.id for b in microgrid9[0].buses][::-1]
+        demand = parse_demand(fixture_text("microgrid9_demand.csv"), net=net)
+        again = run_four_case_study(net, demand)
+        assert again.placement == study9.placement
+        for i in (1, 2, 3, 4):
+            for h, g in zip(study9.case(i).hours, again.case(i).hours):
+                assert h.valid == g.valid
+                if not h.valid:
+                    continue
+                ref, sol = h.solution, g.solution
+                assert ref.status is sol.status, (i, h.hour)
+                if ref.status is not acopf.OpfStatus.OPTIMAL:
+                    continue  # iteration counts and non-optimal points may differ
+                order = [sol.bus_ids.index(bus) for bus in ref.bus_ids]
+                for name in ("v", "theta", "lambda_p", "lambda_q", "mu_v_max", "shed"):
+                    want, got = getattr(ref, name), getattr(sol, name)[order]
+                    assert np.all(np.abs(got - want) <= 1e-8 * np.maximum(1.0, np.abs(want))), (
+                        i, h.hour, name)
 
 
 class TestCapacitorMechanics:
