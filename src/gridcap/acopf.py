@@ -2,7 +2,7 @@
 
 A case is one OpfStructure, built once per network and objective (island,
 admittance matrix, variable layout, generator data and bounds, objective
-scaling, constant Jacobian columns, Hessian index objects), and its hours
+scaling, constant Jacobian columns), and its hours
 as data: each OpfProblem binds one timestep's demand, fixed injections
 (grid-following PV as negative load), voltage-limit overrides and dt to a
 structure, or builds its own. Shared data is read from problem.structure;
@@ -146,7 +146,6 @@ class OpfStructure:
         self.jac_gen = np.zeros((2 * n, self.nx))
         self.jac_gen[self.gen_pos, self.pg_idx] = 1.0
         self.jac_gen[n + self.gen_pos, self.qg_idx] = 1.0
-        self.th_block = np.ix_(self.nonslack, self.nonslack)
         self.hess_pg_diag = 2.0 * self.c2 * s * s
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
@@ -364,7 +363,9 @@ def _assemble_nlp(problem: OpfProblem, x0, f_scale, model: InjectionModel):
     objective in $, which reads only p_g and shed (the loss tie-break is
     _loss_price on both). The rest evaluate injections on the caller's model,
     sharing each point's T. Only the hour's pieces are formed here: the shed
-    Jacobian columns and weights; the bounds are the problem's own."""
+    Jacobian columns and weights; the bounds are the problem's own. jacobian
+    returns a new F-ordered matrix per call; hess_lag returns one array per
+    assembly, rewritten by each call."""
     pr, st = problem, problem.structure
     n, s = st.n, st.network.s_base
     c2, c1, c0 = st.c2, st.c1, st.c0
@@ -389,15 +390,16 @@ def _assemble_nlp(problem: OpfProblem, x0, f_scale, model: InjectionModel):
         theta, v, pg, qg, sh = st._split(x)
         return np.concatenate(pr._balance(model, v, theta, pg, qg, sh))
 
-    # generator and shed columns do not depend on x
-    jac_fixed = st.jac_gen.copy()
+    # generator and shed columns do not depend on x; F-ordered, the layout
+    # the solver keeps a Jacobian in
+    jac_fixed = np.array(st.jac_gen, order="F")
     jac_fixed[st.shed_pos, st.s_idx] = pr.p_load[st.shed_pos]
     jac_fixed[n + st.shed_pos, st.s_idx] = pr.q_load[st.shed_pos] * pr.shed_live
 
     def jacobian(x):
         theta, v, pg, qg, sh = st._split(x)
         dp_dth, dp_dv, dq_dth, dq_dv = model.jacobian(v, theta)
-        jac = jac_fixed.copy()
+        jac = jac_fixed.copy(order="F")
         jac[:n, st.sl_th] = -dp_dth[:, st.nonslack]
         jac[:n, st.sl_v] = -dp_dv
         jac[n:, st.sl_th] = -dq_dth[:, st.nonslack]
@@ -407,17 +409,18 @@ def _assemble_nlp(problem: OpfProblem, x0, f_scale, model: InjectionModel):
     def objective(x):
         return f_scale * value(x)
 
-    ns_idx, th_block = st.nonslack, st.th_block
+    ns = st.nonslack
+    h = np.zeros((st.nx, st.nx))  # this solve's; each call rewrites its nonzero blocks
 
     def hess_lag(x, lam, sigma):
         theta, v, pg, qg, sh = st._split(x)
         # only the constraints, which carry -injections, depend on (V, theta)
         h_thth, h_vth, h_vv = model.hessian_weighted(v, theta, -lam[:n], -lam[n:])
-        h = np.zeros((st.nx, st.nx))
-        h[st.sl_th, st.sl_th] = h_thth[th_block]
+        h_vth = h_vth[:, ns]
+        h[st.sl_th, st.sl_th] = h_thth[ns][:, ns]
         h[st.sl_v, st.sl_v] = h_vv
-        h[st.sl_v, st.sl_th] = h_vth[:, ns_idx]
-        h[st.sl_th, st.sl_v] = h_vth[:, ns_idx].T
+        h[st.sl_v, st.sl_th] = h_vth
+        h[st.sl_th, st.sl_v] = h_vth.T
         h[st.pg_idx, st.pg_idx] = sigma * f_scale * st.hess_pg_diag
         return h
 

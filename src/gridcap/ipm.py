@@ -33,8 +33,13 @@ accepted trial point becomes the current point with the values its
 acceptance test computed, so the next convergence check and line search
 reuse them. It keeps the free part of the gradient and the Jacobian and
 their pinned columns, for the pinned multipliers. Under the callbacks, an
-acopf solve shares one T per point (see powerflow). The KKT matrix is built
-once per iteration; the inertia trials rewrite only its two diagonals.
+acopf solve shares one T per point (see powerflow).
+
+Allocated once per solve: the (n+m) x (n+m) KKT matrix. Each iteration
+rewrites its W and J blocks in place and each inertia trial its diagonal;
+the m x m block stays zero off its diagonal. Allocated per _solve_kkt call:
+one matrix of the same size (|K|, then the equilibrated copy LAPACK factors
+in place), the pivots, the workspace and the step.
 
 A warm start carries a nearby solution's whole primal-dual point: x, lam and
 the bound multipliers, with a small bound push and a small floor on the
@@ -78,6 +83,10 @@ class NlpProblem:
     """Callback bundle describing one NLP instance.
 
     hess_lag(x, lam, sigma) must return sigma * hess(f) + sum_j lam_j * hess(c_j).
+    The solver reads a returned Hessian before it calls hess_lag again, so the
+    next call may rewrite it: a problem may hand out one array per solve.
+    A Jacobian returned F-ordered is kept as it is; any other is copied to
+    F order, the layout that sets how J.T @ lam rounds.
     """
 
     x0: np.ndarray
@@ -138,7 +147,7 @@ class _Funcs:
         self.lower = lower[self.free]
         self.upper = upper[self.free]
         self.n = int(self.free.sum())
-        self.free_block = np.ix_(self.free, self.free) if self.n < self.n_full else None
+        self.pinned = self.n < self.n_full
         self.m = prob.n_eq
         # One row per finite bound, s = sign * (x[bound] - value): the lower
         # bounds first (side 0, sign +1), then the upper bounds (side 1, sign -1).
@@ -163,16 +172,16 @@ class _Funcs:
         """(free, pinned) columns of a. A boolean column selection returns a
         matrix F-ordered, and that layout sets how J.T @ lam rounds; so with
         nothing pinned the free part is a itself in F order (no copy for a
-        vector) and the pinned part is empty."""
-        if self.free_block is None:
+        vector or an F-ordered matrix) and the pinned part is empty."""
+        if not self.pinned:
             return np.asfortranarray(a), a[..., :0]
         return a[..., self.free], a[..., self.frozen]
 
     def hess(self, pt, lam, sigma):
         """The Lagrangian Hessian at pt on the free variables; with nothing pinned,
-        the callback's own array, which the elastic one rewrites on its next call."""
+        the callback's own array, which its next call may rewrite."""
         h = np.asarray(self.prob.hess_lag(pt.full, lam, sigma), dtype=float)
-        return h if self.free_block is None else h[self.free_block]
+        return h[self.free][:, self.free] if self.pinned else h
 
     def slacks(self, x):
         """The slack of every bound row: x - l on the lower rows, u - x on
@@ -374,22 +383,29 @@ def _solve_kkt(kkt, rhs, n, m):
     Bunch-Kaufman LDL^T factorization (dsytrf, then dsytrs, bound at import
     from numpy's OpenBLAS or scipy's) of the matrix under symmetric
     equilibration (a congruence, so inertia is preserved), which keeps the
-    zero-eigenvalue test meaningful when barrier terms dominate. kkt itself is
-    never written to: the equilibrated copy is factored in place, and the
-    pivots, workspace and step are fresh arrays on every call, so concurrent
-    calls share nothing LAPACK writes.
+    zero-eigenvalue test meaningful when barrier terms dominate. kkt is taken
+    to be exactly symmetric: its C-ordered copy is scaled by columns, then by
+    rows, and handed to LAPACK transposed, that is in column order with each
+    entry scaled by its row first. kkt itself is never written to. Each call
+    allocates one N x N array, which holds |kkt| for the row norms and then
+    the copy that is factored in place, and the pivots, workspace and step,
+    so concurrent calls share nothing LAPACK writes.
 
-    Raises ValueError on a non-finite entry, and LinAlgError with 'inertia' or
-    'zero' in the message when the direction would not be a descent direction.
-    An exact zero pivot (info > 0) is a zero eigenvalue of D.
+    Raises ValueError on a non-finite entry (its row norm is then not
+    finite), and LinAlgError with 'inertia' or 'zero' in the message when
+    the direction would not be a descent direction. An exact zero pivot
+    (info > 0) is a zero eigenvalue of D.
     """
-    norms = np.abs(kkt).max(axis=1)
-    d = 1.0 / np.sqrt(np.maximum(norms, 1e-12))
-    scaled = np.multiply(kkt, d[:, None], order="F")  # LAPACK's order: factored in place
-    scaled *= d[None, :]
-    if not np.isfinite(scaled).all():
+    scaled = np.abs(kkt)  # this call's one N x N array: |kkt|, then the factor
+    norms = scaled.max(axis=1)
+    if not np.isfinite(norms).all():  # a NaN or inf entry makes its row's norm so
         raise ValueError("array must not contain infs or NaNs")
-    ldu, ipiv, info = _sytrf(scaled)
+    d = 1.0 / np.sqrt(np.maximum(norms, 1e-12))
+    # by columns, then by rows: scaled[j, i] = (kkt[j, i] * d[i]) * d[j], so its
+    # transpose, F-ordered as LAPACK wants it, is (kkt[i, j] * d[i]) * d[j]
+    np.multiply(kkt, d, out=scaled)
+    scaled *= d[:, None]
+    ldu, ipiv, info = _sytrf(scaled.T)  # factored in place
     if info < 0:
         raise RuntimeError(f"dsytrf rejected argument {-info}")
     pos, neg, zero = _inertia(ldu, ipiv)
@@ -528,6 +544,9 @@ def _ipm(fn: _Funcs, opts: IpmOptions, x0, warm, elastic=False) -> tuple:
     failure instead of restoring."""
     k, m, n = fn.n_lower, fn.m, fn.n
     zeros = (np.zeros(m), np.zeros(fn.bound.size))  # lam, z
+    # this solve's KKT matrix [[W + diag, J^T], [J, diag]], rewritten in place
+    kkt = np.zeros((n + m, n + m))
+    diag = kkt.reshape(-1)[:: n + m + 1]
 
     def start(x, warm):
         push, mu = (_BOUND_PUSH, _MU_INIT) if warm is None else (_WARM_BOUND_PUSH, _WARM_MU_INIT)
@@ -602,16 +621,13 @@ def _ipm(fn: _Funcs, opts: IpmOptions, x0, warm, elastic=False) -> tuple:
         r_x = fn.scatter(grad + (jac.T @ lam if m else 0.0), mu / s)
         rhs = -np.concatenate([r_x, c])
 
-        # Built once; each inertia trial rewrites only the diagonal, as
-        # w + diag(sig) + delta_w*I and -delta_c*I.
-        kkt = np.zeros((n + m, n + m))
+        # Each inertia trial rewrites only the diagonal, as w + diag(sig) +
+        # delta_w*I and -delta_c*I.
         kkt[:n, :n] = w
         if m:
             kkt[:n, n:] = jac.T
             kkt[n:, :n] = jac
-        diag = kkt.reshape(-1)[:: n + m + 1]
         w_sig = w.diagonal() + sig
-        scale = max(1.0, float(np.abs(w).max(initial=0.0)))
         delta_w, delta_c = 0.0, 0.0
         step = None
         try:
@@ -624,7 +640,11 @@ def _ipm(fn: _Funcs, opts: IpmOptions, x0, warm, elastic=False) -> tuple:
                 except np.linalg.LinAlgError as exc:
                     if "zero" in str(exc) and m:
                         delta_c = max(delta_c * 100.0, 1e-8)
-                delta_w = 1e-8 * scale if delta_w == 0.0 else delta_w * 100.0
+                if delta_w == 0.0:  # the first rejected trial sets the scale
+                    scale = max(1.0, float(np.abs(w).max(initial=0.0)))
+                    delta_w = 1e-8 * scale
+                else:
+                    delta_w *= 100.0
                 if delta_w > 1e12 * scale:
                     break
         except ValueError:  # no regularization makes a NaN or inf entry finite
@@ -647,15 +667,14 @@ def _ipm(fn: _Funcs, opts: IpmOptions, x0, warm, elastic=False) -> tuple:
         # residual. A primal merit cannot see dual progress, so Newton steps
         # that mostly re-center the multipliers are accepted on the residual
         # itself (this is also what quadratic local convergence requires).
-        # Stationarity and feasibility do not depend on mu.
+        # Stationarity and feasibility do not depend on mu. Every error must
+        # contract, so a NaN one (a trial where c is not finite) fails.
         err_before = max(stat, feas, _comp_error(pt, z, mu))
         trial = _Point(fn, x + alpha_max * dx)
         lam_t = lam + alpha_max * dlam if m else lam
         z_t = z + alpha_z * dz
-        if (
-            (trial.slacks > 0.0).all()
-            and max(_kkt_errors(fn, trial, lam_t, z_t, mu)) <= (1.0 - 1e-4 * alpha_max) * err_before
-        ):
+        bound = (1.0 - 1e-4 * alpha_max) * err_before
+        if (trial.slacks > 0.0).all() and all(e <= bound for e in _kkt_errors(fn, trial, lam_t, z_t, mu)):
             pt, lam = trial, lam_t
         else:
             # Acceptance 2: l1 merit line search on the primal step.

@@ -39,6 +39,11 @@ def _fmt(x) -> str:
     return format(float(x), ".10g")
 
 
+def _fmt_floats(row):
+    """_fmt of each float in row, e.g. a row of an array's tolist()."""
+    return [format(x, ".10g") for x in row]
+
+
 def _write_csv(path, header, rows):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -97,15 +102,12 @@ def write_case_files(outdir, case_number: int, case, weights, prefix: str = "cas
             _fmt(sol.v.min()), _fmt(sol.v.max()),
             _fmt(sol.max_mismatch), sol.iterations,
         ])
-        for i, b in enumerate(sol.bus_ids):
-            bus_rows.append([
-                t, b, status,
-                _fmt(sol.v[i]), _fmt(sol.theta[i]),
-                _fmt(sol.p_load_mw[i]), _fmt(sol.q_load_mvar[i]),
-                _fmt(sol.p_inj_mw[i]),
-                _fmt(sol.shed[i]), _fmt(sol.shed[i] * sol.p_load_mw[i]),
-                _fmt(sol.lambda_p[i]), _fmt(sol.lambda_q[i]),
-            ])
+        values = np.column_stack([
+            sol.v, sol.theta, sol.p_load_mw, sol.q_load_mvar, sol.p_inj_mw,
+            sol.shed, sol.shed * sol.p_load_mw, sol.lambda_p, sol.lambda_q,
+        ]).tolist()
+        for b, row in zip(sol.bus_ids, values):
+            bus_rows.append([t, b, status, *_fmt_floats(row)])
     for t, records in zip((o.hour for o in case.hours), case.hour_sensitivities):
         if records is None:
             continue
@@ -113,9 +115,8 @@ def write_case_files(outdir, case_number: int, case, weights, prefix: str = "cas
         status_by_bus = {r.bus_id: r.status.value for r in records}
         signed = {r.bus_id: (r.os_q, r.os_v) for r in records}
         for rec in ranked:
-            os_q, os_v = signed[rec.bus_id]
             sens_rows.append([
-                t, rec.bus_id, _fmt(os_q), _fmt(os_v), _fmt(rec.s_score),
+                t, rec.bus_id, *_fmt_floats((*signed[rec.bus_id], rec.s_score)),
                 rec.rank, status_by_bus[rec.bus_id],
             ])
     _write_csv(os.path.join(outdir, f"{tag}_hourly.csv"), HOURLY_HEADER, hourly_rows)

@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 
 from conftest import hour_problem
-from gridcap import acopf, ipm
+from gridcap import acopf, ipm, study
 from gridcap.ipm import (
     IpmOptions,
     NlpProblem,
@@ -20,6 +20,7 @@ from gridcap.ipm import (
     _solve_kkt,
     solve_nlp,
 )
+from gridcap.model import PfSign
 
 
 def bound_qp():
@@ -195,6 +196,31 @@ def test_non_finite_kkt_matrix_ends_the_solve():
     assert r.status == "max_iter" and r.message == "non-finite KKT matrix"
     assert r.iterations == 1 and r.restorations == 0
     assert np.isfinite(r.x).all() and 0.0 < r.x[0] < 2.0
+
+
+def test_trial_with_non_finite_constraints_is_not_accepted():
+    # min (x0 - 3)^2 + x1^2 s.t. x0 + x1 = 2 on [0, 10]^2, with c NaN beyond
+    # x0 = 1.5: the first full step lands there with smaller stationarity and
+    # complementarity errors, and must be backtracked, not accepted
+    def constraints(x):
+        return np.array([x[0] + x[1] - 2.0 if x[0] <= 1.5 else np.nan])
+
+    prob, seen = recording(NlpProblem(
+        x0=np.array([1.4, 0.6]),
+        lower=np.zeros(2),
+        upper=np.full(2, 10.0),
+        n_eq=1,
+        objective=lambda x: float((x[0] - 3.0) ** 2 + x[1] ** 2),
+        gradient=lambda x: np.array([2.0 * (x[0] - 3.0), 2.0 * x[1]]),
+        constraints=constraints,
+        jacobian=lambda x: np.array([[1.0, 1.0]]),
+        hess_lag=lambda x, lam, s: 2.0 * s * np.eye(2),
+    ))
+    r = solve_nlp(prob, IpmOptions(max_iter=50))
+    # each iteration evaluates the Hessian once, at the point it accepted last
+    accepted = [np.frombuffer(x) for x in seen["hess_lag"]] + [r.x]
+    assert r.iterations > 2
+    assert all(np.isfinite(constraints(x)).all() for x in accepted)
 
 
 def frozen_problem():
@@ -426,6 +452,121 @@ def test_solve_kkt_rejects_non_finite_entry():
         _solve_kkt(kkt, rhs, n, m)
 
 
+# -- the KKT step against its first form --------------------------------------
+
+
+def reference_solve_kkt(kkt, rhs, n, m):
+    """The KKT step as first written: full |K| row norms, a transposing
+    np.multiply into LAPACK's order, then a finiteness pass over the
+    equilibrated copy."""
+    norms = np.abs(kkt).max(axis=1)
+    d = 1.0 / np.sqrt(np.maximum(norms, 1e-12))
+    scaled = np.multiply(kkt, d[:, None], order="F")
+    scaled *= d[None, :]
+    if not np.isfinite(scaled).all():
+        raise ValueError("array must not contain infs or NaNs")
+    ldu, ipiv, info = ipm._sytrf(scaled)
+    if info < 0:
+        raise RuntimeError(f"dsytrf rejected argument {-info}")
+    pos, neg, zero = _inertia(ldu, ipiv)
+    if zero > 0:
+        raise np.linalg.LinAlgError(f"kkt matrix has {zero} zero eigenvalues")
+    if pos != n or neg != m:
+        raise np.linalg.LinAlgError(f"wrong inertia ({pos},{neg},{zero}), expected ({n},{m},0)")
+    step, info = ipm._sytrs(ldu, ipiv, d * rhs)
+    if info < 0:
+        raise RuntimeError(f"dsytrs rejected argument {-info}")
+    return d * step
+
+
+def step_systems():
+    """(kkt, rhs, n, m): the KKT-like systems, and the symmetric cases at
+    their own inertia and at a wrong one."""
+    rng = np.random.default_rng(41)
+    for kkt, n, m in kkt_like_systems():
+        yield kkt, rng.standard_normal(n + m), n, m
+    for a in symmetric_cases():
+        pos, neg, _ = sign_counts(a)
+        b = rng.standard_normal(a.shape[0])
+        yield a, b, pos, neg
+        yield a, b, neg, pos
+
+
+def test_solve_kkt_is_bitwise_its_first_form():
+    verdicts = set()
+    for kkt, rhs, n, m in step_systems():
+        before = kkt.copy()
+        got, want = outcome(kkt, rhs, n, m), outcome(kkt, rhs, n, m, reference_solve_kkt)
+        if isinstance(want, str):
+            assert got == want
+            verdicts.add("zero" if "zero" in got else "inertia")
+        else:
+            assert got.tobytes() == want.tobytes()
+            verdicts.add("step")
+        assert kkt.tobytes() == before.tobytes()  # the caller's matrix is not written
+    assert verdicts == {"step", "zero", "inertia"}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_solve_kkt_rejects_non_finite_entries_as_its_first_form(bad):
+    rng = np.random.default_rng(43)
+    for kkt, rhs, n, m in step_systems():
+        size = kkt.shape[0]
+        i, j = rng.integers(size, size=2)
+        kkt = kkt.copy()
+        kkt[i, j] = kkt[j, i] = bad
+        with np.errstate(invalid="ignore"):  # the first form scales inf by 0
+            want = outcome(kkt, rhs, n, m, reference_solve_kkt)
+        assert outcome(kkt, rhs, n, m) == want == "ValueError: array must not contain infs or NaNs"
+
+
+def solution_bytes(sol):
+    """Every field of sol, arrays as their bytes."""
+    return {name: v.tobytes() if isinstance(v, np.ndarray) else v for name, v in vars(sol).items()}
+
+
+def recording_verdicts(monkeypatch, solve_kkt):
+    """Patch ipm._solve_kkt with solve_kkt, recording each trial's verdict
+    (True: a step, False: rejected)."""
+    verdicts = []
+
+    def recorded(kkt, rhs, n, m):
+        try:
+            step = solve_kkt(kkt, rhs, n, m)
+        except np.linalg.LinAlgError:
+            verdicts.append(False)
+            raise
+        verdicts.append(True)
+        return step
+
+    monkeypatch.setattr(ipm, "_solve_kkt", recorded)
+    return verdicts
+
+
+def stressed_hour(net, demand, hour):
+    """Case 2's problem at hour: PV at the study's stressed power factor."""
+    p_inj, q_inj = study._hour_injections(net, hour, study.uniform_stress(net, 0.85, PfSign.LAGGING))
+    return dataclasses.replace(hour_problem(net, demand, hour), p_inj=p_inj, q_inj=q_inj)
+
+
+def test_hour_with_rejected_inertia_trials_solves_as_the_first_form(microgrid9, study9, monkeypatch):
+    # Case 2 hour 10, warm from hour 9 as in the study, rejects inertia
+    # trials. It solves to the study's bits alone, after another hour, and
+    # through the first form of the step: nothing carries between trials or
+    # between solves.
+    net, demand = microgrid9
+    case2 = study9.case(2)
+    warm, want = case2.hours[9].solution, solution_bytes(case2.hours[10].solution)
+    verdicts = recording_verdicts(monkeypatch, ipm._solve_kkt)
+    assert solution_bytes(acopf.solve(stressed_hour(net, demand, 10), warm)) == want
+    assert False in verdicts and True in verdicts
+    acopf.solve(stressed_hour(net, demand, 9))
+    assert solution_bytes(acopf.solve(stressed_hour(net, demand, 10), warm)) == want
+    first = recording_verdicts(monkeypatch, reference_solve_kkt)
+    assert solution_bytes(acopf.solve(stressed_hour(net, demand, 10), warm)) == want
+    assert first == verdicts[: len(first)]
+
+
 # -- the LAPACK binding -------------------------------------------------------
 
 SCIPY_PAIR = ipm._bind_lapack([])  # the fallback of a numpy without OpenBLAS
@@ -436,10 +577,10 @@ def use_scipy_pair(mp):
     mp.setattr(ipm, "_sytrs", SCIPY_PAIR[1])
 
 
-def outcome(kkt, rhs, n, m):
-    """_solve_kkt's step, or the type and message of what it raised."""
+def outcome(kkt, rhs, n, m, solve_kkt=_solve_kkt):
+    """solve_kkt's step, or the type and message of what it raised."""
     try:
-        return _solve_kkt(kkt, rhs, n, m)
+        return solve_kkt(kkt, rhs, n, m)
     except (ValueError, np.linalg.LinAlgError) as exc:
         return f"{type(exc).__name__}: {exc}"
 

@@ -530,7 +530,107 @@ def reversed_records(text, sections=("BUS", "BRANCH")):
     return "\n".join(out) + "\n"
 
 
+def edited_records(text, edit):
+    """Network-file text with each record replaced by edit(section, tokens);
+    section is None outside a section (the SBASE line)."""
+    out, section = [], None
+    for line in text.splitlines():
+        tokens = line.split()
+        head = tokens[0].upper() if tokens else "#"
+        if len(tokens) == 1 and head in ("BUS", "BRANCH", "GEN", "PV", "SHUNT"):
+            section = head
+        elif head == "END":
+            section = None
+        elif not head.startswith("#"):
+            line = " ".join(edit(section, tokens))
+        out.append(line)
+    return "\n".join(out) + "\n"
+
+
+BUS_ID_COLUMNS = {"BUS": (0,), "BRANCH": (0, 1), "GEN": (0,), "PV": (0,), "SHUNT": (0,)}
+
+
+def shifted_bus_ids(shift):
+    """The microgrid9 network and demand texts with every bus id + shift."""
+    def edit(section, tokens):
+        for col in BUS_ID_COLUMNS.get(section, ()):
+            tokens[col] = str(int(tokens[col]) + shift)
+        return tokens
+
+    lines = fixture_text("microgrid9_demand.csv").splitlines()
+    demand = [lines[0]]
+    for line in lines[1:]:
+        hour, bus, *rest = line.split(",")
+        demand.append(",".join([hour, str(int(bus) + shift), *rest]))
+    return edited_records(fixture_text("microgrid9.grid"), edit), "\n".join(demand) + "\n"
+
+
+def rescaled_base(factor):
+    """The microgrid9 network text (which has no SHUNT records) at SBASE
+    times factor, its per-unit branch impedances times factor and charging
+    susceptances over factor: the same physical network."""
+    def edit(section, tokens):
+        if section is None and tokens[0].upper() == "SBASE":
+            tokens[1] = repr(float(tokens[1]) * factor)
+        elif section == "BRANCH":
+            r, x, b = (float(t) for t in tokens[2:5])
+            tokens[2:5] = (repr(r * factor), repr(x * factor), repr(b / factor))
+        return tokens
+
+    return edited_records(fixture_text("microgrid9.grid"), edit)
+
+
+# Compared at optimal hours: per-bus V and theta, per-unit MW and Mvar, shed
+# fractions, and multipliers in $/MW, $/Mvar and $/p.u. V.
+PRIMAL = ("v", "theta", "p_g", "q_g", "shed")
+PRICES = ("lambda_p_per_mw", "lambda_q_per_mvar")
+VOLTAGE_PRICES = ("mu_v_max", "mu_v_min")
+
+
+def assert_same_physical_study(ref, got, bus_map, tol):
+    """Same placement and hour statuses and, at optimal hours, each field in
+    tol (a tolerance per field group, relative to max(1, |value|)) within
+    it, buses matched by id through bus_map. Iteration counts are not
+    compared."""
+    assert got.placement == tuple(bus_map[b] for b in ref.placement)
+    for i in (1, 2, 3, 4):
+        for h, g in zip(ref.case(i).hours, got.case(i).hours):
+            assert h.valid == g.valid
+            if not h.valid:
+                continue
+            a, b = h.solution, g.solution
+            assert a.status is b.status, (i, h.hour)
+            if a.status is not acopf.OpfStatus.OPTIMAL:
+                continue
+            assert b.bus_ids == tuple(bus_map[x] for x in a.bus_ids)
+            assert b.gen_buses == tuple(bus_map[x] for x in a.gen_buses)
+            for names, rtol in tol.items():
+                for name in names:
+                    want, value = getattr(a, name), getattr(b, name)
+                    assert np.all(np.abs(value - want) <= rtol * np.maximum(1.0, np.abs(want))), (
+                        i, h.hour, name)
+
+
 class TestInputOrderInvariance:
+    def test_shifted_bus_ids_give_the_same_study(self, microgrid9, study9):
+        network_text, demand_text = shifted_bus_ids(100)
+        net = parse_network(network_text)
+        assert [b.id for b in net.buses] == [b.id + 100 for b in microgrid9[0].buses]
+        again = run_four_case_study(net, parse_demand(demand_text, net=net))
+        exact = dict.fromkeys((PRIMAL, PRICES, VOLTAGE_PRICES), 0.0)
+        assert_same_physical_study(study9, again, {b.id: b.id + 100 for b in microgrid9[0].buses}, exact)
+
+    def test_rescaled_base_gives_the_same_study(self, microgrid9, study9):
+        net = parse_network(rescaled_base(10.0))
+        assert net.s_base == 100.0 == 10.0 * microgrid9[0].s_base
+        again = run_four_case_study(net, parse_demand(fixture_text("microgrid9_demand.csv"), net=net))
+        # the per-unit tolerances now stand for other physical amounts, so
+        # the solves stop at other points; measured worst cases over the
+        # study: 2.2e-7 (q_g, Mvar), 1.3e-6 (lambda_q, $/Mvar) and 2.1e-4
+        # (mu_v_max, $/p.u. V, a barrier residual where V is not at its limit)
+        tol = {PRIMAL: 1e-6, PRICES: 1e-5, VOLTAGE_PRICES: 1e-3}
+        assert_same_physical_study(study9, again, {b.id: b.id for b in net.buses}, tol)
+
     def test_reversed_bus_and_branch_records_give_the_same_study(self, microgrid9, study9):
         net = parse_network(reversed_records(fixture_text("microgrid9.grid")))
         assert [b.id for b in net.buses] == [b.id for b in microgrid9[0].buses][::-1]
