@@ -116,7 +116,6 @@ class OpfStructure:
         self.c0 = np.array([g.c0 for g in self.gens])
 
         self.ns = ns = n if objective is Objective.OPTIMAL_LOAD_DELIVERY else 0
-        self.shed_pos = np.arange(ns)
 
         # variable layout: [theta (non-slack), v, pg, qg, s]
         ends = list(itertools.accumulate((n - 1, n, ng, ng, ns), initial=0))
@@ -140,9 +139,7 @@ class OpfStructure:
         self.upper = np.concatenate(
             [np.full(n - 1, np.inf), np.zeros(n), self.pg_max, self.qg_max, np.ones(ns)]
         )
-        self.pg_idx, self.qg_idx, self.s_idx = (
-            np.arange(sl.start, sl.stop) for sl in (self.sl_pg, self.sl_qg, self.sl_s)
-        )
+        self.pg_idx, self.qg_idx = (np.arange(sl.start, sl.stop) for sl in (self.sl_pg, self.sl_qg))
         self.jac_gen = np.zeros((2 * n, self.nx))
         self.jac_gen[self.gen_pos, self.pg_idx] = 1.0
         self.jac_gen[n + self.gen_pos, self.qg_idx] = 1.0
@@ -224,7 +221,7 @@ class OpfProblem:
         self.q_fix = self.q_inj[idx] / s
         self.vmin = self.v_min[idx]
         self.vmax = self.v_max[idx]
-        self.shed_live = (self.p_load[st.shed_pos] > 0.0).astype(float)  # 0.0 pins at 0
+        self.shed_live = (self.p_load[: st.ns] > 0.0).astype(float)  # 0.0 pins at 0
         self.lower, self.upper = st.lower.copy(), st.upper.copy()
         self.lower[st.sl_v], self.upper[st.sl_v] = self.vmin, self.vmax
         self.upper[st.sl_s] = self.shed_live
@@ -236,7 +233,7 @@ class OpfProblem:
         variable (none under ECONOMIC, one per island bus under OLD)."""
         st = self.structure
         keep = np.ones(st.n)
-        keep[st.shed_pos] -= shed * self.shed_live
+        keep[: st.ns] -= shed * self.shed_live
         p_eff, q_eff = keep * self.p_load - self.p_fix, keep * self.q_load - self.q_fix
         p_net, q_net = model.injections(v, theta)
         dp = np.bincount(st.gen_pos, weights=p_g, minlength=st.n) - p_eff - p_net
@@ -274,11 +271,11 @@ class OpfProblem:
         shed = np.asarray(shed, dtype=float)
         if shed.shape != (st.n,):
             raise ValidationError(f"shed vector must have one entry per island bus ({st.n})")
-        return shed[st.shed_pos]
+        return shed[: st.ns]
 
     def shed_fractions_full(self, shed_vars):
         out = np.zeros(self.structure.n)
-        out[self.structure.shed_pos] = shed_vars
+        out[: self.structure.ns] = shed_vars
         return out
 
 
@@ -290,7 +287,7 @@ def objective_cost(p_g_mw, problem: OpfProblem, shed=None) -> float:
     p_g_mw = np.asarray(p_g_mw, dtype=float)
     total = sum(g.cost(p) for g, p in zip(st.gens, p_g_mw))
     shed = problem._shed_vars(shed)
-    p_shed_mw = shed * problem.p_load[st.shed_pos] * problem.network.s_base
+    p_shed_mw = shed * problem.p_load[: st.ns] * problem.network.s_base
     total += problem.options.voll_rate * float(p_shed_mw.sum()) * problem.dt
     return float(total)
 
@@ -371,7 +368,7 @@ def _assemble_nlp(problem: OpfProblem, x0, f_scale, model: InjectionModel):
     c2, c1, c0 = st.c2, st.c1, st.c0
     price = _loss_price(pr)
     pg_w = pr.options.eps_pg * st.cost_scale * s + price  # $ per p.u. of p_g
-    shed_w = (pr.options.voll_rate * s * pr.dt + price) * pr.p_load[st.shed_pos]
+    shed_w = (pr.options.voll_rate * s * pr.dt + price) * pr.p_load[: st.ns]
 
     def value(x):
         pg_mw = x[st.sl_pg] * s
@@ -393,8 +390,8 @@ def _assemble_nlp(problem: OpfProblem, x0, f_scale, model: InjectionModel):
     # generator and shed columns do not depend on x; F-ordered, the layout
     # the solver keeps a Jacobian in
     jac_fixed = np.array(st.jac_gen, order="F")
-    jac_fixed[st.shed_pos, st.s_idx] = pr.p_load[st.shed_pos]
-    jac_fixed[n + st.shed_pos, st.s_idx] = pr.q_load[st.shed_pos] * pr.shed_live
+    jac_fixed[: st.ns, st.sl_s] = np.diag(pr.p_load[: st.ns])
+    jac_fixed[n : n + st.ns, st.sl_s] = np.diag(pr.q_load[: st.ns] * pr.shed_live)
 
     def jacobian(x):
         theta, v, pg, qg, sh = st._split(x)
@@ -450,12 +447,12 @@ def _solution_point(problem: OpfProblem, sol: OpfSolution):
     x[st.sl_v] = sol.v
     x[st.sl_pg] = sol.p_g / st.network.s_base
     x[st.sl_qg] = sol.q_g / st.network.s_base
-    x[st.sl_s] = sol.shed[st.shed_pos]
+    x[st.sl_s] = sol.shed[: st.ns]
     for sl, lo, hi in (
         (st.sl_v, sol.mu_v_min, sol.mu_v_max),
         (st.sl_pg, sol.mu_pg_min, sol.mu_pg_max),
         (st.sl_qg, sol.mu_qg_min, sol.mu_qg_max),
-        (st.sl_s, sol.mu_shed_min[st.shed_pos], sol.mu_shed_max[st.shed_pos]),
+        (st.sl_s, sol.mu_shed_min[: st.ns], sol.mu_shed_max[: st.ns]),
     ):
         zl[sl], zu[sl] = lo, hi
     return x, np.concatenate([sol.lambda_p - _loss_price(problem), sol.lambda_q]), zl, zu

@@ -27,7 +27,8 @@ Every number in the network file must be finite. Demand CSV: header
 non-finite value marks that hour invalid.
 
 load_network and load_demand name the file in their errors:
-``FILE, line N: message``.
+``FILE, line N: message``. In code the network grammar is stated once, as
+the table _GRAMMAR that parse_network and serialize_network both read.
 """
 
 from __future__ import annotations
@@ -66,9 +67,6 @@ class NetworkFileError(GridcapError):
         super().__init__(f"{', '.join(where)}: {message}" if where else message)
 
 
-_SECTIONS = ("BUS", "BRANCH", "GEN", "PV", "SHUNT")
-
-
 def _parse_float(token: str, what: str, line: int, finite: bool = True) -> float:
     try:
         value = float(token)
@@ -86,10 +84,88 @@ def _parse_int(token: str, what: str, line: int) -> int:
         raise NetworkFileError(f"expected an integer for {what}, got {token!r}", line)
 
 
+# Field codecs: a (parse, format) pair. parse(token, line) reads one token
+# and names the field as `what` in its errors; format(value) writes it back.
+
+
+def _number(what):
+    return (lambda token, line: _parse_float(token, what, line)), repr
+
+
+def _integer(what):
+    return (lambda token, line: _parse_int(token, what, line)), str
+
+
+def _choice(kind, what):
+    values = [member.value for member in kind]
+    options = f"{', '.join(values[:-1])} or {values[-1]}"
+
+    def parse(token, line):
+        try:
+            return kind(token.lower())
+        except ValueError:
+            raise NetworkFileError(f"{what} must be {options}, got {token!r}", line)
+
+    return parse, lambda member: member.value
+
+
+_PROFILE = (
+    lambda token, line: tuple(_parse_float(v, "pv profile value", line) for v in token.split(",")),
+    lambda profile: ",".join(map(repr, profile)),
+)
+
+
+def _numbers(*names, what=None):
+    """Number fields named alike in the arity message and the record, each
+    labelled by its own name in errors unless `what` is given."""
+    return tuple((name, name, _number(what or name)) for name in names)
+
+
+# The network file's grammar, stated once: parse_network reads records and
+# serialize_network writes them from this table, sections in write order.
+# Each section is (the model record its lines build, the Network field the
+# records fill, its fields in file order as (name in the arity message,
+# record attribute, codec)).
+_GRAMMAR = {
+    "BUS": (Bus, "buses", (
+        ("id", "id", _integer("bus id")),
+        ("kind", "kind", _choice(BusKind, "bus kind")),
+        *_numbers("v_min", "v_max", "base_kv"),
+    )),
+    "BRANCH": (Branch, "branches", (
+        ("from", "from_bus", _integer("from bus")),
+        ("to", "to_bus", _integer("to bus")),
+        *_numbers("r", "x", "b_sh"),
+        ("status", "status", _choice(BranchStatus, "branch status")),
+    )),
+    "GEN": (Generator, "generators", (
+        ("bus", "bus", _integer("bus")),
+        *_numbers("p_min", "p_max", "q_min", "q_max", "c2", "c1", "c0", what="generator field"),
+    )),
+    "PV": (PvUnit, "pv_units", (
+        ("bus", "bus", _integer("bus")),
+        ("pf", "pf_nominal", _number("pf")),
+        ("sign", "pf_sign", _choice(PfSign, "pv sign")),
+        ("profile", "p_profile", _PROFILE),
+    )),
+    "SHUNT": (ShuntCapacitor, "shunts", (
+        ("bus", "bus", _integer("bus")),
+        *_numbers("b_cap"),
+    )),
+}
+
+
 def parse_network(text: str) -> Network:
-    """Parse network-file contents into a validated Network."""
+    """Parse network-file contents into a validated Network.
+
+    A record's fields are read from the left, so a line with several bad
+    fields reports the leftmost; the record's own checks (its validate())
+    run on that line too and name it. Checks across records (undeclared or
+    duplicate buses, slack count, generators at pv buses, the island) run
+    on the whole network and name no line.
+    """
     s_base = None
-    buses, branches, gens, pvs, shunts = [], [], [], [], []
+    rows = {attr: [] for _, attr, _ in _GRAMMAR.values()}
     section = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -104,7 +180,7 @@ def parse_network(text: str) -> Network:
                 raise NetworkFileError("SBASE takes exactly one value", lineno)
             s_base = _parse_float(tokens[1], "SBASE", lineno)
             continue
-        if head in _SECTIONS and len(tokens) == 1:
+        if head in _GRAMMAR and len(tokens) == 1:
             section = head
             continue
         if head == "END" and len(tokens) == 1:
@@ -115,87 +191,18 @@ def parse_network(text: str) -> Network:
         if section is None:
             raise NetworkFileError(f"unexpected content {line!r} outside a section", lineno)
 
-        if section == "BUS":
-            if len(tokens) != 5:
-                raise NetworkFileError(
-                    "BUS record needs 5 fields: id kind v_min v_max base_kv", lineno
-                )
-            try:
-                kind = BusKind(tokens[1].lower())
-            except ValueError:
-                raise NetworkFileError(
-                    f"bus kind must be slack, pv or pq, got {tokens[1]!r}", lineno
-                )
-            buses.append(
-                Bus(
-                    id=_parse_int(tokens[0], "bus id", lineno),
-                    kind=kind,
-                    v_min=_parse_float(tokens[2], "v_min", lineno),
-                    v_max=_parse_float(tokens[3], "v_max", lineno),
-                    base_kv=_parse_float(tokens[4], "base_kv", lineno),
-                )
-            )
-        elif section == "BRANCH":
-            if len(tokens) != 6:
-                raise NetworkFileError(
-                    "BRANCH record needs 6 fields: from to r x b_sh status", lineno
-                )
-            try:
-                status = BranchStatus(tokens[5].lower())
-            except ValueError:
-                raise NetworkFileError(
-                    f"branch status must be closed or open, got {tokens[5]!r}", lineno
-                )
-            branches.append(
-                Branch(
-                    from_bus=_parse_int(tokens[0], "from bus", lineno),
-                    to_bus=_parse_int(tokens[1], "to bus", lineno),
-                    r=_parse_float(tokens[2], "r", lineno),
-                    x=_parse_float(tokens[3], "x", lineno),
-                    b_sh=_parse_float(tokens[4], "b_sh", lineno),
-                    status=status,
-                )
-            )
-        elif section == "GEN":
-            if len(tokens) != 8:
-                raise NetworkFileError(
-                    "GEN record needs 8 fields: bus p_min p_max q_min q_max c2 c1 c0",
-                    lineno,
-                )
-            vals = [_parse_float(t, "generator field", lineno) for t in tokens[1:]]
-            gens.append(Generator(_parse_int(tokens[0], "bus", lineno), *vals))
-        elif section == "PV":
-            if len(tokens) != 4:
-                raise NetworkFileError(
-                    "PV record needs 4 fields: bus pf sign profile", lineno
-                )
-            try:
-                sign = PfSign(tokens[2].lower())
-            except ValueError:
-                raise NetworkFileError(
-                    f"pv sign must be leading or lagging, got {tokens[2]!r}", lineno
-                )
-            profile = tuple(
-                _parse_float(v, "pv profile value", lineno)
-                for v in tokens[3].split(",")
-            )
-            pvs.append(
-                PvUnit(
-                    bus=_parse_int(tokens[0], "bus", lineno),
-                    p_profile=profile,
-                    pf_nominal=_parse_float(tokens[1], "pf", lineno),
-                    pf_sign=sign,
-                )
-            )
-        elif section == "SHUNT":
-            if len(tokens) != 2:
-                raise NetworkFileError("SHUNT record needs 2 fields: bus b_cap", lineno)
-            shunts.append(
-                ShuntCapacitor(
-                    bus=_parse_int(tokens[0], "bus", lineno),
-                    b_cap=_parse_float(tokens[1], "b_cap", lineno),
-                )
-            )
+        record_type, attr, fields = _GRAMMAR[section]
+        if len(tokens) != len(fields):
+            names = " ".join(name for name, _, _ in fields)
+            raise NetworkFileError(f"{section} record needs {len(fields)} fields: {names}", lineno)
+        record = record_type(
+            **{field: codec[0](token, lineno) for token, (_, field, codec) in zip(tokens, fields)}
+        )
+        try:
+            record.validate()
+        except ValidationError as exc:
+            raise NetworkFileError(str(exc), lineno) from exc
+        rows[attr].append(record)
 
     if section is not None:
         raise NetworkFileError(f"section {section} not closed with END")
@@ -203,49 +210,27 @@ def parse_network(text: str) -> Network:
         raise NetworkFileError("missing SBASE directive")
 
     try:
-        return Network(
-            buses=tuple(buses),
-            branches=tuple(branches),
-            generators=tuple(gens),
-            pv_units=tuple(pvs),
-            shunts=tuple(shunts),
-            s_base=s_base,
-        )
+        return Network(s_base=s_base, **{attr: tuple(records) for attr, records in rows.items()})
     except ValidationError as exc:
         raise NetworkFileError(str(exc)) from exc
 
 
 def serialize_network(net: Network) -> str:
-    """Render a Network back to file text; parse(serialize(net)) == net."""
-    out = [f"SBASE {net.s_base!r}", "BUS"]
-    for b in net.buses:
-        out.append(f"{b.id} {b.kind.value} {b.v_min!r} {b.v_max!r} {b.base_kv!r}")
-    out.append("END")
-    out.append("BRANCH")
-    for br in net.branches:
-        out.append(
-            f"{br.from_bus} {br.to_bus} {br.r!r} {br.x!r} {br.b_sh!r} {br.status.value}"
-        )
-    out.append("END")
-    if net.generators:
-        out.append("GEN")
-        for g in net.generators:
-            out.append(
-                f"{g.bus} {g.p_min!r} {g.p_max!r} {g.q_min!r} {g.q_max!r} "
-                f"{g.c2!r} {g.c1!r} {g.c0!r}"
+    """Render a Network back to file text; parse(serialize(net)) == net.
+
+    BUS and BRANCH are always written; GEN, PV and SHUNT only when they hold
+    records.
+    """
+    out = [f"SBASE {net.s_base!r}"]
+    for section, (_, attr, fields) in _GRAMMAR.items():
+        records = getattr(net, attr)
+        if records or section in ("BUS", "BRANCH"):
+            out.append(section)
+            out.extend(
+                " ".join(codec[1](getattr(record, field)) for _, field, codec in fields)
+                for record in records
             )
-        out.append("END")
-    if net.pv_units:
-        out.append("PV")
-        for pv in net.pv_units:
-            profile = ",".join(repr(p) for p in pv.p_profile)
-            out.append(f"{pv.bus} {pv.pf_nominal!r} {pv.pf_sign.value} {profile}")
-        out.append("END")
-    if net.shunts:
-        out.append("SHUNT")
-        for sh in net.shunts:
-            out.append(f"{sh.bus} {sh.b_cap!r}")
-        out.append("END")
+            out.append("END")
     return "\n".join(out) + "\n"
 
 

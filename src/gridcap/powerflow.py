@@ -88,21 +88,18 @@ class InjectionModel:
         [[h_thth, h_vth.T], [h_vth, h_vv]].
         """
         t = self._at(v, theta)["t"]
-        tr, ti = t.real.copy(), t.imag.copy()
-        rd = tr.diagonal().copy()
-        sd = ti.diagonal().copy()
-        np.fill_diagonal(tr, 0.0)
-        np.fill_diagonal(ti, 0.0)
-        mu = np.asarray(mu, dtype=float)
-        nu = np.asarray(nu, dtype=float)
+        mu = np.asarray(mu, dtype=float)[:, None]
+        nu = np.asarray(nu, dtype=float)[:, None]
 
-        a = mu[:, None] * tr + nu[:, None] * ti
+        # a + a.T carries h_vv's diagonal 2 (mu_i Re T_ii + nu_i Im T_ii)
+        # exactly (x + x == 2x); h_thth takes it with that diagonal zeroed
+        a = mu * t.real + nu * t.imag
         a_sym = a + a.T
+        h_vv = a_sym / np.outer(v, v)
+        np.fill_diagonal(a_sym, 0.0)
         h_thth = a_sym - np.diag(a_sym.sum(axis=1))
 
-        h_vv = (a_sym + 2.0 * np.diag(mu * rd + nu * sd)) / np.outer(v, v)
-
-        c = mu[:, None] * ti - nu[:, None] * tr
-        m = c - c.T
+        c = mu * t.imag - nu * t.real
+        m = c - c.T  # zero diagonal: x - x == 0 exactly
         h_vth = (m - np.diag(m.sum(axis=1))) / v[:, None]
         return h_thth, h_vth, h_vv

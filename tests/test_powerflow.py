@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from gridcap.admittance import build_admittance
+from gridcap.fixtures import load_fixture
 from gridcap.powerflow import InjectionModel
 
 
@@ -170,3 +172,66 @@ def test_kept_arrays_refuse_writes(moved):
     for arr in m.injections(v, th):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0.0
+
+
+# -- the weighted Hessian keeps the values of its earlier, copying form ---------
+
+
+def reference_hessian_weighted(model, v, theta, mu, nu):
+    """hessian_weighted as it was before it kept T's diagonal: copies of
+    Re T and Im T with zeroed diagonals, the diagonal terms added back as
+    np.diag matrices."""
+    t = model._at(v, theta)["t"]
+    tr, ti = t.real.copy(), t.imag.copy()
+    rd = tr.diagonal().copy()
+    sd = ti.diagonal().copy()
+    np.fill_diagonal(tr, 0.0)
+    np.fill_diagonal(ti, 0.0)
+    mu = np.asarray(mu, dtype=float)
+    nu = np.asarray(nu, dtype=float)
+
+    a = mu[:, None] * tr + nu[:, None] * ti
+    a_sym = a + a.T
+    h_thth = a_sym - np.diag(a_sym.sum(axis=1))
+
+    h_vv = (a_sym + 2.0 * np.diag(mu * rd + nu * sd)) / np.outer(v, v)
+
+    c = mu[:, None] * ti - nu[:, None] * tr
+    m = c - c.T
+    h_vth = (m - np.diag(m.sum(axis=1))) / v[:, None]
+    return h_thth, h_vth, h_vv
+
+
+def zero_signs_dropped(arrays):
+    # the reference adds explicit zero entries, which turn an exact -0.0
+    # into 0.0; x + 0.0 does the same and leaves every other value's bits
+    return as_bits([a + 0.0 for a in arrays])
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 70])
+def test_weighted_hessian_has_the_bits_of_the_reference(n):
+    m, rng = random_model(n, n=n)
+    for _ in range(50):
+        v, th = random_state(rng, n)
+        mu, nu = rng.normal(size=n), rng.normal(size=n)
+        got = m.hessian_weighted(v, th, mu, nu)
+        want = reference_hessian_weighted(m, v, th, mu, nu)
+        assert zero_signs_dropped(got) == zero_signs_dropped(want)
+        if n > 1:  # a dense T leaves no exact zero but the n = 1 theta block
+            assert as_bits(got) == as_bits(want)
+
+
+def test_weighted_hessian_has_the_values_of_the_reference_on_a_sparse_island():
+    # microgrid9's island admittance has zero entries, so T does too
+    net, _ = load_fixture("microgrid9")
+    m = InjectionModel(build_admittance(net).submatrix(net.island_bus_ids()).y)
+    rng = np.random.default_rng(4)
+    for k in range(50):
+        v, th = random_state(rng, m.n)
+        mu, nu = rng.normal(size=m.n), rng.normal(size=m.n)
+        if k % 2:  # negative weights make the products with zero entries -0.0
+            mu, nu = -np.abs(mu), -np.abs(nu)
+        got = m.hessian_weighted(v, th, mu, nu)
+        assert zero_signs_dropped(got) == zero_signs_dropped(
+            reference_hessian_weighted(m, v, th, mu, nu)
+        )

@@ -127,8 +127,7 @@ class TestRunCase:
 
     @pytest.mark.parametrize("case", [3, 4])
     def test_warm_start_equivalence_with_bound_duals(self, microgrid9, study9, monkeypatch, case):
-        # Case 3 chains shed multipliers through shed_pos; Case 4 solves a
-        # network with capacitors
+        # Case 3 chains shed multipliers; Case 4 solves a network with capacitors
         net, demand = microgrid9
         if case == 3:
             scenario = Scenario(CaseId.OLD, pf_overrides=uniform_stress(net, 0.85, PfSign.LAGGING))
@@ -329,8 +328,7 @@ class TestCaseStructure:
         result, problems = run_recording(self.stressed_old(net), net, synthetic, monkeypatch)
         problem = problems[synthetic.valid_hours.index(hour)]
         k = net.island_bus_ids().index(bus)
-        assert k in problem.structure.shed_pos
-        assert problem.shed_live[list(problem.structure.shed_pos).index(k)] == 0.0
+        assert problem.upper[problem.structure.sl_s][k] == 0.0 and problem.shed_live[k] == 0.0
         sol = result.hours[hour].solution
         assert sol.status is acopf.OpfStatus.OPTIMAL
         assert sol.shed[k] == 0.0 and sol.mu_shed_max[k] == 0.0 and sol.mu_shed_min[k] == 0.0
