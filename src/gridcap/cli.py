@@ -92,7 +92,7 @@ def cmd_solve(args) -> int:
     net, demand = _load_inputs(args)
     options = _solver_options(args)
     weights = _parse_weights(args.weights)
-    case_id = {"economic": CaseId.ECONOMIC, "old": CaseId.OLD}[args.case]
+    case_id = CaseId(args.case)
     overrides = None
     if args.stress_pf is not None:
         overrides = uniform_stress(net, args.stress_pf, PfSign(args.stress_sign))

@@ -56,6 +56,7 @@ where a bound is infinite.
 from __future__ import annotations
 
 import ctypes
+import math
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from pathlib import Path
@@ -503,7 +504,10 @@ def solve_nlp(prob: NlpProblem, opts: IpmOptions = None, warm=None) -> IpmResult
 
     A KKT matrix with a non-finite entry (a NaN or inf Hessian or Jacobian
     at a finite point) ends the solve at once with status "max_iter",
-    message "non-finite KKT matrix" and the best point seen.
+    message "non-finite KKT matrix" and the best point seen. Every
+    "max_iter" end reports that best point: the least violation, where
+    violations below tol_feas count as equal, then the least f; a point
+    whose violation or f is not finite is never preferred to a finite one.
 
     The loop keeps one multiplier per finite bound, the lower bounds' rows
     first: a warm z is gathered from z_lower and z_upper, and the result's,
@@ -560,16 +564,18 @@ def _ipm(fn: _Funcs, opts: IpmOptions, x0, warm, elastic=False) -> tuple:
     restorations = 0
     need_restore = False
     message = "iteration limit reached"
-    best = None  # (point, lam, z) of least violation, then least f
+    best = None  # (rank, point, lam, z) of least violation, then least f
 
     def remember():
-        # No held array is written in place, so holding references is safe. f is
-        # needed only to break a tie in the violation.
+        # Violations below tol_feas tie, so a feasible point is not beaten by
+        # one that is only closer to exact feasibility but costs more. A point
+        # whose violation or f is not finite ranks after every finite one.
+        # No held array is written in place, so holding references is safe.
         nonlocal best
-        if best is None or pt.viol < best[0].viol or (
-            pt.viol == best[0].viol and pt.f < best[0].f
-        ):
-            best = (pt, lam, z)
+        viol, f = pt.viol, pt.f
+        rank = (not (math.isfinite(viol) and math.isfinite(f)), max(viol, opts.tol_feas), f)
+        if best is None or rank < best[0]:
+            best = (rank, pt, lam, z)
 
     def finish(status, message="", errors=None):
         stat, feas, comp = errors or _kkt_errors(fn, pt, lam, z, 0.0)
@@ -712,5 +718,5 @@ def _ipm(fn: _Funcs, opts: IpmOptions, x0, warm, elastic=False) -> tuple:
 
     # iteration budget exhausted, restoration failed or a KKT matrix was not
     # finite: report the best point seen
-    pt, lam, z = best
+    _, pt, lam, z = best
     return finish("max_iter", message)

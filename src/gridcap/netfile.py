@@ -19,8 +19,10 @@ Network file grammar (UTF-8, `#` starts a comment, blank lines ignored):
     <bus> <b_cap_pu>
     END
 
-Sections may appear in any order; GEN, PV and SHUNT are optional. The PV
-profile is a comma-separated MW value per timestep with no spaces.
+Sections may appear in any order; GEN, PV and SHUNT are optional. SBASE
+comes once, outside every section, and each section closes with END before
+the next opens. The PV profile is a comma-separated MW value per timestep
+with no spaces.
 
 Every number in the network file must be finite. Demand CSV: header
 ``hour,bus_id,p_mw,q_mvar``; missing (hour, bus) pairs default to zero; a
@@ -164,7 +166,7 @@ def parse_network(text: str) -> Network:
     duplicate buses, slack count, generators at pv buses, the island) run
     on the whole network and name no line.
     """
-    s_base = None
+    s_base = sbase_line = None
     rows = {attr: [] for _, attr, _ in _GRAMMAR.values()}
     section = None
 
@@ -176,11 +178,17 @@ def parse_network(text: str) -> Network:
         head = tokens[0].upper()
 
         if head == "SBASE":
+            if section is not None:
+                raise NetworkFileError(f"SBASE inside section {section}", lineno)
+            if sbase_line is not None:
+                raise NetworkFileError(f"second SBASE (the first is on line {sbase_line})", lineno)
             if len(tokens) != 2:
                 raise NetworkFileError("SBASE takes exactly one value", lineno)
-            s_base = _parse_float(tokens[1], "SBASE", lineno)
+            s_base, sbase_line = _parse_float(tokens[1], "SBASE", lineno), lineno
             continue
         if head in _GRAMMAR and len(tokens) == 1:
+            if section is not None:
+                raise NetworkFileError(f"section {head} opened before {section} closed with END", lineno)
             section = head
             continue
         if head == "END" and len(tokens) == 1:

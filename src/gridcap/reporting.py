@@ -20,7 +20,6 @@ import os
 
 import numpy as np
 
-from .acopf import OpfStatus
 from .model import GridcapError
 from .planning import CaseSummary, economic_comparison
 from .sensitivity import composite_score
@@ -70,15 +69,9 @@ CROSS_CASE_HEADER = [
 ]
 
 
-def _hour_totals(sol):
-    """(load, served, shed, loss) of one hour's solution, MW."""
-    load, shed = float(sol.p_load_mw.sum()), sol.shed_mw
-    served = load - shed
-    return load, served, shed, float(sol.p_g.sum() + sol.p_inj_mw.sum()) - served
-
-
-def write_case_files(outdir, case_number: int, case, weights, prefix: str = "case"):
-    """Emit hourly, per-bus and sensitivity CSVs for one case."""
+def write_case_files(outdir, case_number: int, case, weights, prefix: str = "case") -> list:
+    """Emit hourly, per-bus and sensitivity CSVs for one case; returns the
+    hourly CSV's rows (HOURLY_HEADER's columns, cells as written)."""
     tag = f"{prefix}{case_number}" if case_number else prefix
     hourly_rows = []
     bus_rows = []
@@ -88,10 +81,11 @@ def write_case_files(outdir, case_number: int, case, weights, prefix: str = "cas
         if not outcome.valid:
             hourly_rows.append([t, "invalid"] + [""] * (len(HOURLY_HEADER) - 2))
             continue
-        sol = outcome.solution
+        sol, optimal = outcome.solution, outcome.optimal
         status = sol.status.value
-        optimal = sol.status is OpfStatus.OPTIMAL
-        load, served, shed_mw, loss = _hour_totals(sol)
+        load, shed_mw = float(sol.p_load_mw.sum()), sol.shed_mw
+        served = load - shed_mw
+        loss = float(sol.p_g.sum() + sol.p_inj_mw.sum()) - served
         hourly_rows.append([
             t, status,
             _fmt(sol.generation_cost * case.dt) if optimal else "",
@@ -124,6 +118,7 @@ def write_case_files(outdir, case_number: int, case, weights, prefix: str = "cas
     _write_csv(
         os.path.join(outdir, f"{tag}_sensitivity.csv"), SENSITIVITY_HEADER, sens_rows
     )
+    return hourly_rows
 
 
 def write_cross_case(outdir, study: StudyResult, top_m: int = 3):
@@ -141,25 +136,18 @@ def write_cross_case(outdir, study: StudyResult, top_m: int = 3):
 _DISPATCH_SERIES = ("p_gen_mw", "q_gen_mvar", "loss_mw", "cost_usd", "shed_mw")
 
 
-def write_dispatch_long(outdir, study: StudyResult):
-    """Plot-ready long-format dispatch profiles for every case."""
-    rows = []
-    for cid, case in study.cases.items():
-        num = CASE_NUMBERS[cid]
-        for outcome in case.hours:
-            if not outcome.valid or not outcome.optimal:
-                continue
-            sol = outcome.solution
-            _, _, shed_mw, loss = _hour_totals(sol)
-            values = {
-                "p_gen_mw": float(sol.p_g.sum()),
-                "q_gen_mvar": float(sol.q_g.sum()),
-                "loss_mw": loss,
-                "cost_usd": sol.generation_cost * case.dt,
-                "shed_mw": shed_mw,
-            }
-            for series in _DISPATCH_SERIES:
-                rows.append([num, outcome.hour, series, _fmt(values[series])])
+def write_dispatch_long(outdir, hourly: dict):
+    """Plot-ready long-format dispatch profiles: each optimal row of the
+    hourly CSVs (case number -> rows, as write_case_files returns them)
+    becomes one row per series."""
+    cols = [HOURLY_HEADER.index(series) for series in _DISPATCH_SERIES]
+    rows = [
+        [num, row[0], series, row[col]]
+        for num, case_rows in hourly.items()
+        for row in case_rows
+        if row[1] == "optimal"
+        for series, col in zip(_DISPATCH_SERIES, cols)
+    ]
     _write_csv(
         os.path.join(outdir, "dispatch_long.csv"),
         ["case", "hour", "series", "value"],
@@ -174,10 +162,12 @@ def write_meta(outdir, entries: dict):
 
 def write_study(outdir, study: StudyResult, weights, top_m: int, extra_meta: dict = None):
     os.makedirs(outdir, exist_ok=True)
-    for cid, case in study.cases.items():
-        write_case_files(outdir, CASE_NUMBERS[cid], case, weights)
+    hourly = {
+        CASE_NUMBERS[cid]: write_case_files(outdir, CASE_NUMBERS[cid], case, weights)
+        for cid, case in study.cases.items()
+    }
     write_cross_case(outdir, study, top_m)
-    write_dispatch_long(outdir, study)
+    write_dispatch_long(outdir, hourly)
     meta = {
         "placement": " ".join(str(b) for b in study.placement),
         "cap_mvar": _fmt(study.cap_mvar),

@@ -18,6 +18,8 @@ are not the hours Case 3 sheds in.
 from __future__ import annotations
 
 import enum
+import functools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,12 +54,7 @@ class CaseId(enum.Enum):
     CAP_ENHANCED = "cap_enhanced"
 
 
-CASE_NUMBERS = {
-    CaseId.ECONOMIC: 1,
-    CaseId.VOLTAGE_STRESS: 2,
-    CaseId.OLD: 3,
-    CaseId.CAP_ENHANCED: 4,
-}
+CASE_NUMBERS = {cid: n for n, cid in enumerate(CaseId, start=1)}
 
 
 @dataclass(frozen=True)
@@ -100,18 +97,38 @@ def uniform_stress(net: Network, pf: float, sign: PfSign = PfSign.LAGGING) -> di
 
 @dataclass(frozen=True)
 class HourOutcome:
+    """One demand timestep: its solution, or None where the demand series
+    flags the hour invalid and it was not solved."""
+
     hour: int
-    valid: bool
     solution: OpfSolution = None
 
     @property
+    def valid(self) -> bool:
+        return self.solution is not None
+
+    @property
     def optimal(self) -> bool:
-        return self.valid and self.solution is not None and self.solution.status is OpfStatus.OPTIMAL
+        return self.valid and self.solution.status is OpfStatus.OPTIMAL
+
+
+def _sum(values) -> float:
+    """Left-to-right float sum in hour order (sum() compensates on Python
+    >= 3.12, which would move the last digits)."""
+    return functools.reduce(operator.add, values, 0.0)
 
 
 @dataclass
 class CaseResult:
-    """Per-hour solutions plus the horizon aggregates of one case."""
+    """One case's hour outcomes, sensitivities and ranking.
+
+    The hours are the one statement of the case: every horizon figure is
+    derived from them when read. Each covers the optimal hours (MW and $
+    summed in hour order, voltages averaged), except avg_mismatch, the mean
+    over every bus of every valid hour, p.u.; a figure over no hours is 0.
+    load_shed is nonzero under OLD only, and demand_total = load_served +
+    load_shed.
+    """
 
     case_id: CaseId
     bus_ids: tuple
@@ -119,15 +136,47 @@ class CaseResult:
     hours: tuple  # HourOutcome per demand timestep
     hour_sensitivities: tuple  # list[RawSensitivity] or None per timestep
     ranking: HourlyAggregate
-    total_cost: float  # $ generation cost over Optimal hours
-    load_served: float  # MW summed over Optimal hours
-    load_shed: float  # MW summed over Optimal hours (OLD only)
-    avg_mismatch: float  # mean over valid hours and buses, p.u.
-    avg_vmin: float  # p.u., averaged over Optimal hours
-    avg_vmax: float
-    non_optimal_hours: int
-    invalid_hours: int
-    demand_total: float  # MW summed over Optimal hours, for the served+shed identity
+
+    def _optimal(self) -> list:
+        return [o.solution for o in self.hours if o.optimal]
+
+    @property
+    def total_cost(self) -> float:  # $
+        return _sum(sol.generation_cost * self.dt for sol in self._optimal())
+
+    @property
+    def load_served(self) -> float:  # MW
+        return _sum(float(sol.p_load_mw.sum()) - sol.shed_mw for sol in self._optimal())
+
+    @property
+    def load_shed(self) -> float:  # MW
+        return _sum(sol.shed_mw for sol in self._optimal())
+
+    @property
+    def demand_total(self) -> float:  # MW
+        return _sum(float(sol.p_load_mw.sum()) for sol in self._optimal())
+
+    @property
+    def avg_mismatch(self) -> float:
+        valid = [o.solution.mismatch for o in self.hours if o.valid]
+        n = sum(len(m) for m in valid)
+        return _sum(float(m.sum()) for m in valid) / n if n else 0.0
+
+    @property
+    def avg_vmin(self) -> float:  # p.u.
+        return float(np.mean([float(sol.v.min()) for sol in self._optimal()] or 0.0))
+
+    @property
+    def avg_vmax(self) -> float:  # p.u.
+        return float(np.mean([float(sol.v.max()) for sol in self._optimal()] or 0.0))
+
+    @property
+    def non_optimal_hours(self) -> int:
+        return sum(o.valid and not o.optimal for o in self.hours)
+
+    @property
+    def invalid_hours(self) -> int:
+        return sum(not o.valid for o in self.hours)
 
     def top_buses(self, m: int) -> tuple:
         return tuple(r.bus_id for r in self.ranking.records[:m])
@@ -135,10 +184,7 @@ class CaseResult:
     def shed_mw_by_bus(self) -> dict:
         """Total MW shed per bus over Optimal hours (sum across hours)."""
         out = {b: 0.0 for b in self.bus_ids}
-        for outcome in self.hours:
-            if not outcome.optimal:
-                continue
-            sol = outcome.solution
+        for sol in self._optimal():
             for i, b in enumerate(self.bus_ids):
                 out[b] += float(sol.shed[i] * sol.p_load_mw[i])
         return out
@@ -148,9 +194,7 @@ def _hour_injections(net: Network, hour: int, pf_overrides) -> tuple:
     p = np.zeros(net.n_bus)
     q = np.zeros(net.n_bus)
     for idx, pv in enumerate(net.pv_units):
-        override = None
-        if pf_overrides and idx in pf_overrides:
-            override = pf_overrides[idx]
+        override = pf_overrides.get(idx) if pf_overrides else None
         p_mw, q_mvar = pv_injection(pv, hour, override)
         i = net.bus_index(pv.bus)
         p[i] += p_mw
@@ -159,7 +203,7 @@ def _hour_injections(net: Network, hour: int, pf_overrides) -> tuple:
 
 
 def run_case(scenario: Scenario, network: Network, demand: DemandSeries) -> CaseResult:
-    """Solve one case hour by hour and aggregate. The case's OpfStructure is
+    """Solve one case hour by hour and rank its buses. The case's OpfStructure is
     built once from the network and objective, and each valid hour is bound
     to it as data. Each valid hour is one solve, warm-started from the
     previous optimal hour's primal-dual point (flat before the first); a
@@ -179,12 +223,10 @@ def run_case(scenario: Scenario, network: Network, demand: DemandSeries) -> Case
     p_d[:, on], q_d[:, on] = demand.p_mw[:, cols], demand.q_mvar[:, cols]
     structure = OpfStructure(net, scenario.objective)
 
-    outcomes = []
-    sens = []
-    warm = None
+    outcomes, sens, warm = [], [], None
     for t in range(horizon):
         if t not in valid:
-            outcomes.append(HourOutcome(hour=t, valid=False))
+            outcomes.append(HourOutcome(hour=t))
             sens.append(None)
             continue
         p_inj, q_inj = _hour_injections(net, t, scenario.pf_overrides)
@@ -200,43 +242,10 @@ def run_case(scenario: Scenario, network: Network, demand: DemandSeries) -> Case
             structure=structure,
         )
         sol = solve(problem, warm_start=warm)
-        outcomes.append(HourOutcome(hour=t, valid=True, solution=sol))
+        outcomes.append(HourOutcome(hour=t, solution=sol))
         sens.append(extract(sol))
         if sol.status is OpfStatus.OPTIMAL:
             warm = sol
-
-    return _aggregate_case(scenario, net, demand, outcomes, sens)
-
-
-def _aggregate_case(scenario, net, demand, outcomes, sens) -> CaseResult:
-    island = net.island_bus_ids()
-    dt = demand.dt
-    total_cost = 0.0
-    served = 0.0
-    shed = 0.0
-    demand_total = 0.0
-    mismatch_sum = 0.0
-    mismatch_n = 0
-    vmins, vmaxs = [], []
-    non_opt = 0
-    invalid = 0
-    for outcome in outcomes:
-        if not outcome.valid:
-            invalid += 1
-            continue
-        sol = outcome.solution
-        mismatch_sum += float(sol.mismatch.sum())
-        mismatch_n += len(sol.mismatch)
-        if sol.status is not OpfStatus.OPTIMAL:
-            non_opt += 1
-            continue
-        load, shed_mw = float(sol.p_load_mw.sum()), sol.shed_mw
-        demand_total += load
-        served += load - shed_mw
-        shed += shed_mw
-        total_cost += sol.generation_cost * dt
-        vmins.append(float(sol.v.min()))
-        vmaxs.append(float(sol.v.max()))
 
     ranking = aggregate_hours(
         (s for s in sens if s is not None),
@@ -245,20 +254,11 @@ def _aggregate_case(scenario, net, demand, outcomes, sens) -> CaseResult:
     )
     return CaseResult(
         case_id=scenario.case_id,
-        bus_ids=island,
-        dt=dt,
+        bus_ids=net.island_bus_ids(),
+        dt=demand.dt,
         hours=tuple(outcomes),
         hour_sensitivities=tuple(sens),
         ranking=ranking,
-        total_cost=total_cost,
-        load_served=served,
-        load_shed=shed,
-        avg_mismatch=mismatch_sum / mismatch_n if mismatch_n else 0.0,
-        avg_vmin=float(np.mean(vmins)) if vmins else 0.0,
-        avg_vmax=float(np.mean(vmaxs)) if vmaxs else 0.0,
-        non_optimal_hours=non_opt,
-        invalid_hours=invalid,
-        demand_total=demand_total,
     )
 
 
@@ -317,11 +317,14 @@ def run_four_case_study(
     warnings = []
 
     common = dict(options=options, weights=weights, rank_mode=rank_mode)
-    case1 = run_case(Scenario(CaseId.ECONOMIC, **common), network, demand)
-    case2 = run_case(
-        Scenario(CaseId.VOLTAGE_STRESS, pf_overrides=stress, **common), network, demand
-    )
-    case3 = run_case(Scenario(CaseId.OLD, pf_overrides=stress, **common), network, demand)
+    cases = {}
+    for scenario in (
+        Scenario(CaseId.ECONOMIC, **common),
+        Scenario(CaseId.VOLTAGE_STRESS, pf_overrides=stress, **common),
+        Scenario(CaseId.OLD, pf_overrides=stress, **common),
+    ):
+        cases[scenario.case_id] = run_case(scenario, network, demand)
+    case1, case2, case3 = cases.values()
 
     stressed = [o.hour for o in case2.hours if o.valid and not o.optimal]
     shedding = [
@@ -344,7 +347,7 @@ def run_four_case_study(
         ShuntCapacitor(bus=b, b_cap=cap_mvar / network.s_base) for b in placement
     )
 
-    case4 = run_case(
+    case4 = cases[CaseId.CAP_ENHANCED] = run_case(
         Scenario(
             CaseId.CAP_ENHANCED,
             pf_overrides=stress if case4_stressed else None,
@@ -355,12 +358,6 @@ def run_four_case_study(
         demand,
     )
 
-    cases = {
-        CaseId.ECONOMIC: case1,
-        CaseId.VOLTAGE_STRESS: case2,
-        CaseId.OLD: case3,
-        CaseId.CAP_ENHANCED: case4,
-    }
     rankings = {
         f"case{CASE_NUMBERS[cid]}": cr.ranking.records
         for cid, cr in cases.items()

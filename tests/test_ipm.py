@@ -223,6 +223,27 @@ def test_trial_with_non_finite_constraints_is_not_accepted():
     assert all(np.isfinite(constraints(x)).all() for x in accepted)
 
 
+def test_failed_solve_reports_the_cheapest_feasible_point_it_reached():
+    # The same problem at default options never converges, but it reaches
+    # (1.5, 0.5), feasible and cheaper than the exactly feasible start
+    # (1.4, 0.6); violations below tol_feas must not outrank the cost.
+    prob = NlpProblem(
+        x0=np.array([1.4, 0.6]),
+        lower=np.zeros(2),
+        upper=np.full(2, 10.0),
+        n_eq=1,
+        objective=lambda x: float((x[0] - 3.0) ** 2 + x[1] ** 2),
+        gradient=lambda x: np.array([2.0 * (x[0] - 3.0), 2.0 * x[1]]),
+        constraints=lambda x: np.array([x[0] + x[1] - 2.0 if x[0] <= 1.5 else np.nan]),
+        jacobian=lambda x: np.array([[1.0, 1.0]]),
+        hess_lag=lambda x, lam, s: 2.0 * s * np.eye(2),
+    )
+    r = solve_nlp(prob)
+    assert r.status == "max_iter"
+    np.testing.assert_allclose(r.x, [1.5, 0.5], atol=1e-9)
+    assert r.feas_err <= IpmOptions().tol_feas
+
+
 def frozen_problem():
     # x pinned by l = u = 1; stationarity implies z_upper = 4 there
     return NlpProblem(

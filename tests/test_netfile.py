@@ -201,6 +201,30 @@ def test_load_demand_names_the_file(tmp_path, two_bus):
         load_demand(path, net=net)
 
 
+# -- the file's grammar: one SBASE, outside sections; each section closed ------
+
+
+@pytest.mark.parametrize(
+    "old, new, lineno, message",
+    [
+        ("SBASE 10.0\nBUS\n", "BUS\nSBASE 10.0\n", 3, "SBASE inside section BUS"),
+        ("12.47\nEND\nBRANCH\n", "12.47\nBRANCH\n", 14, "section BRANCH opened before BUS closed with END"),
+    ],
+)
+def test_grammar_break_names_its_line(old, new, lineno, message):
+    assert MG9.count(old) == 1
+    with pytest.raises(NetworkFileError) as info:
+        parse_network(MG9.replace(old, new))
+    assert str(info.value) == f"line {lineno}: {message}"
+
+
+def test_second_sbase_names_both_lines():
+    lineno = len(MG9.splitlines()) + 1
+    with pytest.raises(NetworkFileError) as info:
+        parse_network(MG9 + "SBASE 100\n")
+    assert str(info.value) == f"line {lineno}: second SBASE (the first is on line 2)"
+
+
 # -- errors on one line name it, and the leftmost bad field ----------------------
 
 PV_AND_SHUNT = MINIMAL + "PV\n2 1.0 leading 0.5,0.0\nEND\nSHUNT\n2 0.5\nEND\n"

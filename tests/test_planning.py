@@ -56,7 +56,7 @@ def fake_old_result(bus_ids, shed_mw_rows, dt=1.0):
             s_base=10.0,
             p_load_mw=load,
         )
-        hours.append(HourOutcome(hour=t, valid=True, solution=sol))
+        hours.append(HourOutcome(hour=t, solution=sol))
     return CaseResult(
         case_id=CaseId.OLD,
         bus_ids=tuple(bus_ids),
@@ -64,15 +64,6 @@ def fake_old_result(bus_ids, shed_mw_rows, dt=1.0):
         hours=tuple(hours),
         hour_sensitivities=(None,) * len(hours),
         ranking=HourlyAggregate((), 0, len(hours), "mean"),
-        total_cost=0.0,
-        load_served=0.0,
-        load_shed=float(np.sum(shed_mw_rows)),
-        avg_mismatch=0.0,
-        avg_vmin=1.0,
-        avg_vmax=1.0,
-        non_optimal_hours=0,
-        invalid_hours=0,
-        demand_total=0.0,
     )
 
 

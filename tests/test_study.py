@@ -10,7 +10,8 @@ from gridcap import acopf, powerflow, study
 from gridcap.model import DemandSeries, PfSign, ShuntCapacitor, ValidationError
 from gridcap.fixtures import fixture_text
 from gridcap.netfile import parse_demand, parse_network
-from gridcap.sensitivity import FdQuantity, fd_oracle
+from gridcap.reporting import read_rows, write_study
+from gridcap.sensitivity import FdQuantity, ScoreWeights, fd_oracle
 from gridcap.study import (
     CaseId,
     Scenario,
@@ -445,7 +446,7 @@ class TestFourCaseStudy:
             result = real_run_case(scenario, *args)
             if scenario.case_id is CaseId.OLD:
                 hours = list(result.hours)
-                hours[10] = study.HourOutcome(hour=10, valid=False)
+                hours[10] = study.HourOutcome(hour=10)
                 result = dataclasses.replace(result, hours=tuple(hours))
             return result
 
@@ -509,6 +510,87 @@ class TestFourCaseStudy:
             assert a.avg_mismatch == b.avg_mismatch
             assert a.top_buses(3) == b.top_buses(3)
         assert again.placement == study9.placement
+
+
+FIGURES = (
+    "total_cost", "load_served", "load_shed", "demand_total", "avg_mismatch",
+    "avg_vmin", "avg_vmax", "non_optimal_hours", "invalid_hours",
+)
+
+
+def recomputed_figures(case) -> dict:
+    """The nine case figures, summed in hour order straight from the hours."""
+    cost = served = shed = demand = mismatch = 0.0
+    n_mismatch = non_optimal = invalid = 0
+    vmins, vmaxs = [], []
+    for o in case.hours:
+        sol = o.solution
+        if sol is None:
+            invalid += 1
+            continue
+        mismatch += float(sol.mismatch.sum())
+        n_mismatch += sol.mismatch.size
+        if sol.status is not acopf.OpfStatus.OPTIMAL:
+            non_optimal += 1
+            continue
+        load = float(sol.p_load_mw.sum())
+        cost += sol.generation_cost * case.dt
+        served += load - sol.shed_mw
+        shed += sol.shed_mw
+        demand += load
+        vmins.append(float(sol.v.min()))
+        vmaxs.append(float(sol.v.max()))
+    return dict(
+        total_cost=cost, load_served=served, load_shed=shed, demand_total=demand,
+        avg_mismatch=mismatch / n_mismatch, avg_vmin=float(np.mean(vmins)),
+        avg_vmax=float(np.mean(vmaxs)), non_optimal_hours=non_optimal, invalid_hours=invalid,
+    )
+
+
+class TestCaseFigures:
+    """A case is its hours: each figure is derived from the hour outcomes."""
+
+    def test_an_hour_without_a_solution_is_invalid(self):
+        hour = study.HourOutcome(hour=3)
+        assert not hour.valid and not hour.optimal
+        with pytest.raises(TypeError):
+            study.HourOutcome(hour=3, valid=True)
+
+    @pytest.mark.parametrize("number", [2, 3])
+    def test_figures_are_recomputed_from_the_hours(self, study9, number):
+        case = study9.case(number)
+        assert case.non_optimal_hours + case.invalid_hours > 0
+        assert {name: getattr(case, name) for name in FIGURES} == recomputed_figures(case)
+
+    def test_figures_follow_a_replaced_hour(self, study9):
+        case = study9.case(3)
+        sol = case.hours[12].solution
+        assert case.hours[12].optimal and sol.shed_mw > study.SHED_MW
+        hours = list(case.hours)
+        hours[12] = study.HourOutcome(hour=12)
+        edited = dataclasses.replace(case, hours=tuple(hours))
+        assert edited.invalid_hours == case.invalid_hours + 1
+        assert edited.non_optimal_hours == case.non_optimal_hours
+        assert edited.total_cost == pytest.approx(
+            case.total_cost - sol.generation_cost * case.dt, rel=1e-12)
+        assert edited.load_served == pytest.approx(
+            case.load_served - (float(sol.p_load_mw.sum()) - sol.shed_mw), rel=1e-12)
+        assert edited.load_shed == pytest.approx(case.load_shed - sol.shed_mw, rel=1e-12)
+        assert {name: getattr(edited, name) for name in FIGURES} == recomputed_figures(edited)
+
+    def test_dispatch_long_reshapes_the_optimal_hourly_rows(self, study9, tmp_path):
+        write_study(tmp_path, study9, ScoreWeights(), 3)
+        series = ("p_gen_mw", "q_gen_mvar", "loss_mw", "cost_usd", "shed_mw")
+        expected = [
+            {"case": str(num), "hour": row["hour"], "series": name, "value": row[name]}
+            for num in (1, 2, 3, 4)
+            for row in read_rows(tmp_path / f"case{num}_hourly.csv")
+            if row["status"] == "optimal"
+            for name in series
+        ]
+        got = read_rows(tmp_path / "dispatch_long.csv")
+        assert len(got) == 5 * sum(o.optimal for c in study9.cases.values() for o in c.hours)
+        assert got == expected
 
 
 def reversed_records(text, sections=("BUS", "BRANCH")):
