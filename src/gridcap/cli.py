@@ -32,7 +32,7 @@ from .reporting import (
     write_plan_csv,
     write_study,
 )
-from .sensitivity import ScoreWeights
+from .sensitivity import RANK_MODES, ScoreWeights
 from .study import CaseId, Scenario, run_case, run_four_case_study, uniform_stress
 
 
@@ -258,7 +258,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", default="0.5,0.5")
     p.add_argument("--top-m", type=int, default=3, dest="top_m")
     p.add_argument("--cap-mvar", type=float, default=0.5, dest="cap_mvar")
-    p.add_argument("--rank-mode", choices=("mean", "max"), default="mean")
+    p.add_argument("--rank-mode", choices=RANK_MODES, default="mean")
     p.add_argument("--case4-stressed", action="store_true", dest="case4_stressed")
     p.add_argument("--dt", type=float, default=1.0)
     p.add_argument("--out", required=True)

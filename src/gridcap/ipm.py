@@ -674,13 +674,19 @@ def _ipm(fn: _Funcs, opts: IpmOptions, x0, warm, elastic=False) -> tuple:
         # that mostly re-center the multipliers are accepted on the residual
         # itself (this is also what quadratic local convergence requires).
         # Stationarity and feasibility do not depend on mu. Every error must
-        # contract, so a NaN one (a trial where c is not finite) fails.
+        # contract, so a NaN one (a trial where c is not finite) fails. The
+        # errors do not read f, so a trial where f is not finite fails here
+        # too (remember() evaluates f at every accepted point anyway).
         err_before = max(stat, feas, _comp_error(pt, z, mu))
         trial = _Point(fn, x + alpha_max * dx)
         lam_t = lam + alpha_max * dlam if m else lam
         z_t = z + alpha_z * dz
         bound = (1.0 - 1e-4 * alpha_max) * err_before
-        if (trial.slacks > 0.0).all() and all(e <= bound for e in _kkt_errors(fn, trial, lam_t, z_t, mu)):
+        if (
+            (trial.slacks > 0.0).all()
+            and all(e <= bound for e in _kkt_errors(fn, trial, lam_t, z_t, mu))
+            and math.isfinite(trial.f)
+        ):
             pt, lam = trial, lam_t
         else:
             # Acceptance 2: l1 merit line search on the primal step.

@@ -20,9 +20,9 @@ import os
 
 import numpy as np
 
-from .model import GridcapError
+from .model import GridcapError, ValidationError
 from .planning import CaseSummary, economic_comparison
-from .sensitivity import composite_score
+from .sensitivity import composite_score, extract
 from .study import CASE_NUMBERS, StudyResult
 
 
@@ -71,7 +71,11 @@ CROSS_CASE_HEADER = [
 
 def write_case_files(outdir, case_number: int, case, weights, prefix: str = "case") -> list:
     """Emit hourly, per-bus and sensitivity CSVs for one case; returns the
-    hourly CSV's rows (HOURLY_HEADER's columns, cells as written)."""
+    hourly CSV's rows (HOURLY_HEADER's columns, cells as written). Each
+    valid hour's sensitivities are scored under weights, which must be the
+    case's own, so that the per-hour scores and the case's ranking agree."""
+    if weights != case.scenario.weights:
+        raise ValidationError(f"weights {weights} are not the case's own {case.scenario.weights}")
     tag = f"{prefix}{case_number}" if case_number else prefix
     hourly_rows = []
     bus_rows = []
@@ -102,16 +106,13 @@ def write_case_files(outdir, case_number: int, case, weights, prefix: str = "cas
         ]).tolist()
         for b, row in zip(sol.bus_ids, values):
             bus_rows.append([t, b, status, *_fmt_floats(row)])
-    for t, records in zip((o.hour for o in case.hours), case.hour_sensitivities):
-        if records is None:
-            continue
-        ranked = composite_score(records, weights)
-        status_by_bus = {r.bus_id: r.status.value for r in records}
-        signed = {r.bus_id: (r.os_q, r.os_v) for r in records}
-        for rec in ranked:
+        raw = extract(sol)  # signed, in bus order
+        by_bus = {r.bus_id: r for r in raw}
+        for rec in composite_score(raw, weights):
+            signed = by_bus[rec.bus_id]
             sens_rows.append([
-                t, rec.bus_id, *_fmt_floats((*signed[rec.bus_id], rec.s_score)),
-                rec.rank, status_by_bus[rec.bus_id],
+                t, rec.bus_id, *_fmt_floats((signed.os_q, signed.os_v, rec.s_score)),
+                rec.rank, status,
             ])
     _write_csv(os.path.join(outdir, f"{tag}_hourly.csv"), HOURLY_HEADER, hourly_rows)
     _write_csv(os.path.join(outdir, f"{tag}_bus.csv"), BUS_HEADER, bus_rows)

@@ -83,19 +83,14 @@ def extract(solution: OpfSolution) -> list:
 
 def composite_score(records, weights: ScoreWeights = ScoreWeights()) -> list:
     """Rank records by the weighted composite of sensitivity magnitudes."""
-    scored = [
-        (
-            weights.w_q * abs(r.os_q) + weights.w_v * abs(r.os_v),
-            r.bus_id,
-            abs(r.os_q),
-            abs(r.os_v),
-        )
-        for r in records
-    ]
-    order = sorted(scored, key=lambda t: (-t[0], t[1]))
+    scored = sorted(
+        ((weights.w_q * abs(r.os_q) + weights.w_v * abs(r.os_v), r) for r in records),
+        key=lambda pair: (-pair[0], pair[1].bus_id),
+    )
     return [
-        SensitivityRecord(bus_id=bid, os_q=q, os_v=v, s_score=s, rank=i + 1)
-        for i, (s, bid, q, v) in enumerate(order)
+        SensitivityRecord(bus_id=r.bus_id, os_q=abs(r.os_q), os_v=abs(r.os_v),
+                          s_score=s, rank=i + 1)
+        for i, (s, r) in enumerate(scored)
     ]
 
 
@@ -109,6 +104,9 @@ class HourlyAggregate:
     mode: str
 
 
+RANK_MODES = ("mean", "max")  # how aggregate_hours pools a bus's hours
+
+
 def aggregate_hours(per_hour, weights: ScoreWeights = ScoreWeights(), mode: str = "mean") -> HourlyAggregate:
     """Aggregate per-hour raw sensitivities into one ranking.
 
@@ -119,35 +117,25 @@ def aggregate_hours(per_hour, weights: ScoreWeights = ScoreWeights(), mode: str 
     come from different hours, so a bus's score is not the peak of its
     per-hour scores. Unreliable hours are excluded and counted.
     """
-    if mode not in ("mean", "max"):
-        raise ValidationError(f"aggregation mode must be mean or max, got {mode!r}")
-    used = 0
-    excluded = 0
-    acc_q: dict = {}
-    acc_v: dict = {}
-    for records in per_hour:
-        if not records or not all(r.reliable for r in records):
-            excluded += 1
-            continue
-        used += 1
+    if mode not in RANK_MODES:
+        raise ValidationError(f"aggregation mode must be one of {RANK_MODES}, got {mode!r}")
+    hours = list(per_hour)
+    used = [records for records in hours if records and all(r.reliable for r in records)]
+    magnitudes: dict = {}  # bus -> [(|os_q|, |os_v|)] in hour order
+    for records in used:
         for r in records:
-            q, v = abs(r.os_q), abs(r.os_v)
-            if r.bus_id not in acc_q:
-                acc_q[r.bus_id] = []
-                acc_v[r.bus_id] = []
-            acc_q[r.bus_id].append(q)
-            acc_v[r.bus_id].append(v)
-    if used == 0:
-        return HourlyAggregate(records=(), hours_used=0, hours_excluded=excluded, mode=mode)
+            magnitudes.setdefault(r.bus_id, []).append((abs(r.os_q), abs(r.os_v)))
     agg = np.mean if mode == "mean" else np.max
     flat = [
-        RawSensitivity(bus_id=b, os_q=float(agg(acc_q[b])), os_v=float(agg(acc_v[b])),
-                       status=OpfStatus.OPTIMAL, reliable=True)
-        for b in sorted(acc_q)
+        RawSensitivity(bus_id=b, os_q=float(agg([q for q, _ in m])),
+                       os_v=float(agg([v for _, v in m])), status=OpfStatus.OPTIMAL, reliable=True)
+        for b, m in sorted(magnitudes.items())
     ]
-    ranked = composite_score(flat, weights)
     return HourlyAggregate(
-        records=tuple(ranked), hours_used=used, hours_excluded=excluded, mode=mode
+        records=tuple(composite_score(flat, weights)),
+        hours_used=len(used),
+        hours_excluded=len(hours) - len(used),
+        mode=mode,
     )
 
 
@@ -201,21 +189,13 @@ def fd_oracle(problem: OpfProblem, bus_id: int, quantity: FdQuantity, eps: float
     up = solve(p_up)
     dn = solve(p_dn)
     if up.status is not OpfStatus.OPTIMAL or dn.status is not OpfStatus.OPTIMAL:
-        return FdResult(
-            value=float("nan"),
-            available=False,
-            reason=f"perturbed solve status {up.status.value}/{dn.status.value}",
-        )
-    sig_up = _binding_signature(p_up, up)
-    sig_dn = _binding_signature(p_dn, dn)
-    if sig_up.shape != sig_dn.shape or np.any(sig_up != sig_dn):
-        return FdResult(
-            value=float("nan"),
-            available=False,
-            reason="active set changed across the perturbation",
-        )
-    value = (up.solver_objective - dn.solver_objective) / (2.0 * eps)
-    return FdResult(value=float(value), available=True)
+        reason = f"perturbed solve status {up.status.value}/{dn.status.value}"
+    elif not np.array_equal(_binding_signature(p_up, up), _binding_signature(p_dn, dn)):
+        reason = "active set changed across the perturbation"
+    else:
+        value = (up.solver_objective - dn.solver_objective) / (2.0 * eps)
+        return FdResult(value=float(value), available=True)
+    return FdResult(value=float("nan"), available=False, reason=reason)
 
 
 @dataclass(frozen=True)
@@ -230,38 +210,26 @@ class RankTable:
 
     def stable_top(self, m: int) -> tuple:
         """Buses in the top m of every case."""
-        top = None
-        for j in range(self.ranks.shape[1]):
-            s = {self.bus_ids[i] for i in range(len(self.bus_ids)) if self.ranks[i, j] <= m}
-            top = s if top is None else top & s
-        return tuple(sorted(top)) if top else ()
+        return tuple(b for b, worst in zip(self.bus_ids, self.ranks.max(axis=1)) if worst <= m)
 
 
 def cross_case_rank_table(rankings: dict) -> RankTable:
     """Compare per-case rankings; rankings maps case label -> ranked records."""
     if len(rankings) < 2:
         raise ValidationError("need rankings from at least two cases to compare")
-    labels = tuple(rankings.keys())
-    bus_sets = [frozenset(r.bus_id for r in recs) for recs in rankings.values()]
-    if len(set(bus_sets)) != 1:
+    bus_sets = {frozenset(r.bus_id for r in recs) for recs in rankings.values()}
+    if len(bus_sets) != 1:
         raise ValidationError("case rankings cover different bus sets")
-    bus_ids = tuple(sorted(bus_sets[0]))
-    ranks = np.zeros((len(bus_ids), len(labels)), dtype=int)
-    for j, label in enumerate(labels):
-        for rec in rankings[label]:
-            ranks[bus_ids.index(rec.bus_id), j] = rec.rank
-    high = tuple(
-        bus_ids[i] for i in range(len(bus_ids)) if len(set(ranks[i, :])) == 1
-    )
-    n_case = len(labels)
-    agreement = np.zeros((n_case, n_case))
-    for a in range(n_case):
-        for b in range(n_case):
-            agreement[a, b] = float(np.mean(ranks[:, a] == ranks[:, b]))
+    bus_ids = tuple(sorted(next(iter(bus_sets))))
+    row = {b: i for i, b in enumerate(bus_ids)}
+    ranks = np.zeros((len(bus_ids), len(rankings)), dtype=int)
+    for j, recs in enumerate(rankings.values()):
+        for rec in recs:
+            ranks[row[rec.bus_id], j] = rec.rank
     return RankTable(
-        case_labels=labels,
+        case_labels=tuple(rankings),
         bus_ids=bus_ids,
         ranks=ranks,
-        high_confidence=high,
-        agreement=agreement,
+        high_confidence=tuple(b for b, r in zip(bus_ids, ranks) if (r == r[0]).all()),
+        agreement=(ranks[:, :, None] == ranks[:, None, :]).mean(axis=0),
     )

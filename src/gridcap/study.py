@@ -35,6 +35,7 @@ from .model import (
     pv_injection,
 )
 from .sensitivity import (
+    RANK_MODES,
     HourlyAggregate,
     RawSensitivity,
     ScoreWeights,
@@ -79,6 +80,8 @@ class Scenario:
                     raise ValidationError(f"pf override for pv unit {idx} outside (0, 1]")
                 if not isinstance(sign, PfSign):
                     raise ValidationError("pf override sign must be a PfSign")
+        if self.rank_mode not in RANK_MODES:
+            raise ValidationError(f"rank_mode must be one of {RANK_MODES}, got {self.rank_mode!r}")
 
     @property
     def objective(self) -> Objective:
@@ -118,24 +121,36 @@ def _sum(values) -> float:
     return functools.reduce(operator.add, values, 0.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CaseResult:
-    """One case's hour outcomes, sensitivities and ranking.
+    """One case: its scenario and its hour outcomes.
 
-    The hours are the one statement of the case: every horizon figure is
-    derived from them when read. Each covers the optimal hours (MW and $
-    summed in hour order, voltages averaged), except avg_mismatch, the mean
-    over every bus of every valid hour, p.u.; a figure over no hours is 0.
-    load_shed is nonzero under OLD only, and demand_total = load_served +
-    load_shed.
+    The hours are the one statement of the case: every horizon figure and
+    the ranking are derived from them when read. Each figure covers the
+    optimal hours (MW and $ summed in hour order, voltages averaged), except
+    avg_mismatch, the mean over every bus of every valid hour, p.u.; a
+    figure over no hours is 0. load_shed is nonzero under OLD only, and
+    demand_total = load_served + load_shed.
     """
 
-    case_id: CaseId
+    scenario: Scenario
     bus_ids: tuple
     dt: float
     hours: tuple  # HourOutcome per demand timestep
-    hour_sensitivities: tuple  # list[RawSensitivity] or None per timestep
-    ranking: HourlyAggregate
+
+    @property
+    def case_id(self) -> CaseId:
+        return self.scenario.case_id
+
+    @functools.cached_property
+    def ranking(self) -> HourlyAggregate:
+        """The valid hours' sensitivities aggregated under the scenario's
+        weights and rank mode; non-optimal hours are counted as excluded."""
+        return aggregate_hours(
+            [extract(o.solution) for o in self.hours if o.valid],
+            weights=self.scenario.weights,
+            mode=self.scenario.rank_mode,
+        )
 
     def _optimal(self) -> list:
         return [o.solution for o in self.hours if o.optimal]
@@ -203,11 +218,11 @@ def _hour_injections(net: Network, hour: int, pf_overrides) -> tuple:
 
 
 def run_case(scenario: Scenario, network: Network, demand: DemandSeries) -> CaseResult:
-    """Solve one case hour by hour and rank its buses. The case's OpfStructure is
-    built once from the network and objective, and each valid hour is bound
-    to it as data. Each valid hour is one solve, warm-started from the
-    previous optimal hour's primal-dual point (flat before the first); a
-    non-optimal hour is reported as it ended."""
+    """Solve one case hour by hour; its ranking is derived from the hours.
+    The case's OpfStructure is built once from the network and objective,
+    and each valid hour is bound to it as data. Each valid hour is one
+    solve, warm-started from the previous optimal hour's primal-dual point
+    (flat before the first); a non-optimal hour is reported as it ended."""
     net = network.with_shunts(scenario.capacitors) if scenario.capacitors else network
     horizon = demand.horizon
     for pv in net.pv_units:
@@ -223,11 +238,10 @@ def run_case(scenario: Scenario, network: Network, demand: DemandSeries) -> Case
     p_d[:, on], q_d[:, on] = demand.p_mw[:, cols], demand.q_mvar[:, cols]
     structure = OpfStructure(net, scenario.objective)
 
-    outcomes, sens, warm = [], [], None
+    outcomes, warm = [], None
     for t in range(horizon):
         if t not in valid:
             outcomes.append(HourOutcome(hour=t))
-            sens.append(None)
             continue
         p_inj, q_inj = _hour_injections(net, t, scenario.pf_overrides)
         problem = OpfProblem(
@@ -243,23 +257,9 @@ def run_case(scenario: Scenario, network: Network, demand: DemandSeries) -> Case
         )
         sol = solve(problem, warm_start=warm)
         outcomes.append(HourOutcome(hour=t, solution=sol))
-        sens.append(extract(sol))
         if sol.status is OpfStatus.OPTIMAL:
             warm = sol
-
-    ranking = aggregate_hours(
-        (s for s in sens if s is not None),
-        weights=scenario.weights,
-        mode=scenario.rank_mode,
-    )
-    return CaseResult(
-        case_id=scenario.case_id,
-        bus_ids=net.island_bus_ids(),
-        dt=demand.dt,
-        hours=tuple(outcomes),
-        hour_sensitivities=tuple(sens),
-        ranking=ranking,
-    )
+    return CaseResult(scenario, net.island_bus_ids(), demand.dt, tuple(outcomes))
 
 
 @dataclass

@@ -223,6 +223,30 @@ def test_trial_with_non_finite_constraints_is_not_accepted():
     assert all(np.isfinite(constraints(x)).all() for x in accepted)
 
 
+def test_trial_with_non_finite_objective_is_not_accepted():
+    # min -x0 - x1 s.t. x0 - x1 = 0 on [0, 3]^2, with f NaN beyond x0 = 1.2:
+    # the residual test does not see f, so without a finite-f check the
+    # solve reports "optimal" at (3, 3), where f is NaN
+    def objective(x):
+        return float(-x[0] - x[1]) if x[0] <= 1.2 else float("nan")
+
+    prob = NlpProblem(
+        x0=np.array([1.0, 1.0]),
+        lower=np.zeros(2),
+        upper=np.full(2, 3.0),
+        n_eq=1,
+        objective=objective,
+        gradient=lambda x: np.array([-1.0, -1.0]),
+        constraints=lambda x: np.array([x[0] - x[1]]),
+        jacobian=lambda x: np.array([[1.0, -1.0]]),
+        hess_lag=lambda x, lam, s: np.zeros((2, 2)),
+    )
+    r = solve_nlp(prob)
+    assert r.status == "max_iter"
+    assert np.isfinite(objective(r.x))
+    np.testing.assert_allclose(r.x, [1.2, 1.2], atol=1e-9)
+
+
 def test_failed_solve_reports_the_cheapest_feasible_point_it_reached():
     # The same problem at default options never converges, but it reaches
     # (1.5, 0.5), feasible and cheaper than the exactly feasible start

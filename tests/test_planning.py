@@ -13,8 +13,7 @@ from gridcap.planning import (
     shed_voll_cost,
     voll_cost,
 )
-from gridcap.sensitivity import HourlyAggregate
-from gridcap.study import CaseId, CaseResult, HourOutcome
+from gridcap.study import CaseId, CaseResult, HourOutcome, Scenario
 from gridcap.acopf import OpfSolution, OpfStatus
 
 
@@ -58,12 +57,10 @@ def fake_old_result(bus_ids, shed_mw_rows, dt=1.0):
         )
         hours.append(HourOutcome(hour=t, solution=sol))
     return CaseResult(
-        case_id=CaseId.OLD,
+        scenario=Scenario(CaseId.OLD),
         bus_ids=tuple(bus_ids),
         dt=dt,
         hours=tuple(hours),
-        hour_sensitivities=(None,) * len(hours),
-        ranking=HourlyAggregate((), 0, len(hours), "mean"),
     )
 
 

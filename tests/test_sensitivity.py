@@ -339,6 +339,14 @@ class TestCrossCaseRankTable:
         )
         assert set(table.high_confidence) == {508, 364}
         assert table.stable_top(2) == (364, 508)
+        assert table.stable_top(1) == (508,)
+        assert table.stable_top(4) == (364, 508, 675, 783)
+        assert table.stable_top(0) == ()
+        case3 = table.case_labels.index("case3")
+        for a in range(4):
+            for b in range(4):
+                expected = 0.5 if (a == case3) != (b == case3) else 1.0
+                assert table.agreement[a, b] == expected
 
     def test_single_case_rejected(self):
         with pytest.raises(ValidationError, match="two cases"):

@@ -11,9 +11,10 @@ from gridcap.model import DemandSeries, PfSign, ShuntCapacitor, ValidationError
 from gridcap.fixtures import fixture_text
 from gridcap.netfile import parse_demand, parse_network
 from gridcap.reporting import read_rows, write_study
-from gridcap.sensitivity import FdQuantity, ScoreWeights, fd_oracle
+from gridcap.sensitivity import FdQuantity, ScoreWeights, aggregate_hours, extract, fd_oracle
 from gridcap.study import (
     CaseId,
+    CaseResult,
     Scenario,
     run_case,
     run_four_case_study,
@@ -37,6 +38,10 @@ class TestScenarioValidation:
     def test_old_scenario_uses_old_objective(self):
         s = Scenario(CaseId.OLD)
         assert s.objective.value == "old"
+
+    def test_unknown_rank_mode_rejected(self):
+        with pytest.raises(ValidationError, match="median"):
+            Scenario(CaseId.ECONOMIC, rank_mode="median")
 
 
 def run_recording(scenario, net, demand, monkeypatch):
@@ -377,6 +382,19 @@ class TestFourCaseStudy:
         assert c4.load_served == pytest.approx(c1.load_served, abs=1e-6)
         assert c4.load_shed == 0.0
 
+    def test_unknown_rank_mode_rejected_before_any_solve(self, microgrid9, monkeypatch):
+        net, demand = microgrid9
+        solves = []
+
+        def counting_solve(problem, warm_start=None):
+            solves.append(problem)
+            return acopf.solve(problem, warm_start=warm_start)
+
+        monkeypatch.setattr(study, "solve", counting_solve)
+        with pytest.raises(ValidationError, match="median"):
+            run_four_case_study(net, demand, rank_mode="median")
+        assert solves == []
+
     @pytest.mark.parametrize("stressed, cost", [(False, 23159.80), (True, 23203.93)])
     def test_case4_carries_the_stress_only_with_the_flag(
         self, microgrid9, study9, monkeypatch, stressed, cost
@@ -577,6 +595,38 @@ class TestCaseFigures:
             case.load_served - (float(sol.p_load_mw.sum()) - sol.shed_mw), rel=1e-12)
         assert edited.load_shed == pytest.approx(case.load_shed - sol.shed_mw, rel=1e-12)
         assert {name: getattr(edited, name) for name in FIGURES} == recomputed_figures(edited)
+
+    def test_a_case_is_its_scenario_and_its_hours(self, study9):
+        assert [f.name for f in dataclasses.fields(CaseResult)] == [
+            "scenario", "bus_ids", "dt", "hours"]
+        case = study9.case(1)
+        assert case.case_id is case.scenario.case_id is CaseId.ECONOMIC
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            case.hours = ()
+
+    @pytest.mark.parametrize("number", [1, 2, 3, 4])
+    def test_ranking_is_aggregated_from_the_valid_hours(self, study9, number):
+        case = study9.case(number)
+        assert case.ranking == aggregate_hours(
+            [extract(o.solution) for o in case.hours if o.valid],
+            weights=case.scenario.weights,
+            mode=case.scenario.rank_mode,
+        )
+
+    def test_ranking_follows_a_replaced_hour(self, study9):
+        case = study9.case(1)
+        t = next(o.hour for o in case.hours if o.optimal)
+        hours = list(case.hours)
+        hours[t] = study.HourOutcome(hour=t)
+        edited = dataclasses.replace(case, hours=tuple(hours))
+        assert edited.ranking.hours_used == case.ranking.hours_used - 1
+        assert edited.ranking.hours_excluded == case.ranking.hours_excluded
+
+    def test_write_study_refuses_weights_other_than_the_studys(self, study9, tmp_path):
+        # the per-hour scores would disagree with the ranking and placement
+        with pytest.raises(ValidationError, match="weights"):
+            write_study(tmp_path, study9, ScoreWeights(0.3, 0.7), 3)
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_dispatch_long_reshapes_the_optimal_hourly_rows(self, study9, tmp_path):
         write_study(tmp_path, study9, ScoreWeights(), 3)
