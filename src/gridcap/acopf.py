@@ -2,15 +2,16 @@
 
 A case is one OpfStructure, built once per network and objective (island,
 admittance matrix, variable layout, generator data and bounds, objective
-scaling, constant Jacobian columns), and its hours
-as data: each OpfProblem binds one timestep's demand, fixed injections
-(grid-following PV as negative load), voltage-limit overrides and dt to a
-structure, or builds its own. Shared data is read from problem.structure;
+scaling), and its hours as data: each OpfProblem binds one timestep's
+demand, fixed injections (grid-following PV as negative load),
+voltage-limit overrides and dt to a structure, or builds its own. Shared data is read from problem.structure;
 the hour's NLP bounds, problem.lower and problem.upper, are the one
 statement of its limits. Each solve evaluates injections on its own
-InjectionModel; a structure holds none. The solve returns a primal-dual
-point: generator set-points, voltages, nodal power-balance multipliers and
-bound multipliers, with the power-balance mismatch its model holds there.
+InjectionModel; a structure holds none. The solve returns its hour's
+primal-dual point as the NLP holds it (variables, power-balance
+multipliers and bound multipliers, in true units), with the power-balance
+mismatch its model holds there; voltages, dispatch, shed and every named
+multiplier are read from that point.
 
 Sign conventions. Equalities are written g = (generation - demand - flow)
 = 0 per bus, where flow is the network injection V_i sum_j V_j (...). The
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,8 +133,8 @@ class OpfStructure:
         self.cost_scale = max(1.0, max(abs(g.c1) for g in self.gens))
         self.f_scale = min(1.0, 100.0 / max(100.0, g_inf))
 
-        # NLP pieces no hour changes; the V bounds, the shed upper bounds and
-        # the shed Jacobian columns are filled in per hour
+        # NLP pieces no hour changes; the V bounds and the shed upper bounds
+        # are filled in per hour
         self.lower = np.concatenate(
             [np.full(n - 1, -np.inf), np.zeros(n), self.pg_min, self.qg_min, np.zeros(ns)]
         )
@@ -140,9 +142,6 @@ class OpfStructure:
             [np.full(n - 1, np.inf), np.zeros(n), self.pg_max, self.qg_max, np.ones(ns)]
         )
         self.pg_idx, self.qg_idx = (np.arange(sl.start, sl.stop) for sl in (self.sl_pg, self.sl_qg))
-        self.jac_gen = np.zeros((2 * n, self.nx))
-        self.jac_gen[self.gen_pos, self.pg_idx] = 1.0
-        self.jac_gen[n + self.gen_pos, self.qg_idx] = 1.0
         self.hess_pg_diag = 2.0 * self.c2 * s * s
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
@@ -204,8 +203,8 @@ class OpfProblem:
         self.v_max = as_bus_array(self.v_max, "v_max", st.v_max, positive=True)
         if np.any(self.v_min > self.v_max):
             raise ValidationError("v_min override exceeds v_max")
-        if self.dt <= 0.0:
-            raise ValidationError("dt must be positive")
+        if not (np.isfinite(self.dt) and self.dt > 0.0):
+            raise ValidationError(f"dt must be finite and positive, got {self.dt}")
 
         used = (self.p_d != 0.0) | (self.q_d != 0.0) | (self.p_inj != 0.0) | (self.q_inj != 0.0)
         used[st.full_idx] = False
@@ -273,11 +272,6 @@ class OpfProblem:
             raise ValidationError(f"shed vector must have one entry per island bus ({st.n})")
         return shed[: st.ns]
 
-    def shed_fractions_full(self, shed_vars):
-        out = np.zeros(self.structure.n)
-        out[: self.structure.ns] = shed_vars
-        return out
-
 
 def objective_cost(p_g_mw, problem: OpfProblem, shed=None) -> float:
     """Objective value in $: generation cost, plus the shed-energy penalty
@@ -292,42 +286,99 @@ def objective_cost(p_g_mw, problem: OpfProblem, shed=None) -> float:
     return float(total)
 
 
-@dataclass
-class OpfSolution:
-    """Primal-dual solution of one AC-OPF timestep.
+class _View:
+    """A read-only figure of an OpfSolution, declared by where it lives: the
+    value at attribute path `of` of the solution (its point, or its
+    problem's hour data), cut to the hour's layout slice `sl` when one is
+    named, times s_base when in MW or Mvar. A shed block is per island bus,
+    all zero under ECONOMIC; a block of the point is a view of it."""
 
-    Multipliers are in $ per p.u. quantity; lambda_p_per_mw / lambda_q_per_mvar
-    give the $/MW and $/Mvar rescalings. theta at the slack bus is exactly 0.
+    def __init__(self, of: str, sl: str = None, in_mw: bool = False):
+        self.of, self.sl, self.in_mw = operator.attrgetter(of), sl, in_mw
+
+    def __get__(self, sol, owner=None):
+        if sol is None:
+            return self
+        st = sol.problem.structure
+        if self.sl == "sl_s" and not st.ns:
+            return np.zeros(st.n)
+        value = self.of(sol) if self.sl is None else self.of(sol)[getattr(st, self.sl)]
+        return value * st.network.s_base if self.in_mw else value
+
+
+@dataclass(frozen=True)
+class OpfSolution:
+    """Primal-dual point of one AC-OPF timestep, and every figure read from it.
+
+    x, z_lower and z_upper are in the solved problem's NLP layout; lam is
+    its balance multipliers, the P rows then the Q rows. All are in true
+    units, multipliers in $ per p.u. quantity, and read-only. Every other
+    name is derived from them and the problem when read: lambda_p_per_mw /
+    lambda_q_per_mvar give the $/MW and $/Mvar rescalings, and theta at the
+    slack bus is exactly 0.
     """
 
     status: OpfStatus
-    bus_ids: tuple
-    gen_buses: tuple
-    v: np.ndarray
-    theta: np.ndarray
-    p_g: np.ndarray  # MW
-    q_g: np.ndarray  # Mvar
-    shed: np.ndarray  # fraction per island bus, zeros unless OLD
-    lambda_p: np.ndarray  # $ / p.u. P, loss form (the NLP's plus _loss_price)
-    lambda_q: np.ndarray  # $ / p.u. Q
-    mu_v_max: np.ndarray  # $ / p.u. V
-    mu_v_min: np.ndarray
-    mu_pg_max: np.ndarray  # $ / p.u. P, per generator
-    mu_pg_min: np.ndarray
-    mu_qg_max: np.ndarray
-    mu_qg_min: np.ndarray
-    mu_shed_max: np.ndarray  # per island bus, zeros unless OLD
-    mu_shed_min: np.ndarray
+    problem: OpfProblem  # the hour that was solved
+    x: np.ndarray
+    lam: np.ndarray  # $ / p.u., the NLP's (lambda_p is in the loss form)
+    z_lower: np.ndarray
+    z_upper: np.ndarray
     mismatch: np.ndarray  # per-bus max(|dP|, |dQ|), p.u.
-    objective_value: float  # $, per the problem objective
     solver_objective: float  # $, tie-breaks in the loss form (see _loss_price)
     iterations: int  # every IPM iteration the solve ran
     mu_final: float
-    s_base: float
-    p_load_mw: np.ndarray = None  # true (sheddable) load per island bus
-    q_load_mvar: np.ndarray = None
-    p_inj_mw: np.ndarray = None  # fixed injections (PV) per island bus
-    generation_cost: float = 0.0  # $ of generation alone, excluding any shed penalty
+
+    bus_ids = _View("problem.structure.island_bus_ids")
+    s_base = _View("problem.network.s_base")
+    v = _View("x", "sl_v")
+    p_g = _View("x", "sl_pg", in_mw=True)  # MW
+    q_g = _View("x", "sl_qg", in_mw=True)  # Mvar
+    shed = _View("x", "sl_s")  # fraction per island bus, zeros unless OLD
+    mu_v_max = _View("z_upper", "sl_v")  # $ / p.u. V
+    mu_v_min = _View("z_lower", "sl_v")
+    mu_pg_max = _View("z_upper", "sl_pg")  # $ / p.u. P, per generator
+    mu_pg_min = _View("z_lower", "sl_pg")
+    mu_qg_max = _View("z_upper", "sl_qg")
+    mu_qg_min = _View("z_lower", "sl_qg")
+    mu_shed_max = _View("z_upper", "sl_s")  # per island bus, zeros unless OLD
+    mu_shed_min = _View("z_lower", "sl_s")
+    p_load_mw = _View("problem.p_load", in_mw=True)  # true (sheddable) load per island bus
+    q_load_mvar = _View("problem.q_load", in_mw=True)
+    p_inj_mw = _View("problem.p_fix", in_mw=True)  # fixed injections (PV) per island bus
+
+    def __post_init__(self):
+        for array in (self.x, self.lam, self.z_lower, self.z_upper, self.mismatch):
+            array.flags.writeable = False
+
+    @property
+    def gen_buses(self) -> tuple:
+        return tuple(g.bus for g in self.problem.structure.gens)
+
+    @property
+    def theta(self) -> np.ndarray:
+        return self.problem.structure._split(self.x)[0]
+
+    @property
+    def lambda_p(self) -> np.ndarray:
+        """$ / p.u. P in the loss form: the NLP's plus _loss_price, except
+        in an infeasible hour, which reports no multipliers."""
+        lam = self.lam[: self.problem.structure.n]
+        return lam if self.status is OpfStatus.INFEASIBLE else lam + _loss_price(self.problem)
+
+    @property
+    def lambda_q(self) -> np.ndarray:  # $ / p.u. Q
+        return self.lam[self.problem.structure.n :]
+
+    @property
+    def objective_value(self) -> float:
+        """$, per the problem objective."""
+        return objective_cost(self.p_g, self.problem, self.shed)
+
+    @property
+    def generation_cost(self) -> float:
+        """$ of generation alone, excluding any shed penalty."""
+        return objective_cost(self.p_g, self.problem)
 
     @property
     def max_mismatch(self) -> float:
@@ -388,8 +439,11 @@ def _assemble_nlp(problem: OpfProblem, x0, f_scale, model: InjectionModel):
         return np.concatenate(pr._balance(model, v, theta, pg, qg, sh))
 
     # generator and shed columns do not depend on x; F-ordered, the layout
-    # the solver keeps a Jacobian in
-    jac_fixed = np.array(st.jac_gen, order="F")
+    # the solver keeps a Jacobian in. Built per solve, as a structure that
+    # held them would keep a dense 2n x nx array alive with its solutions.
+    jac_fixed = np.zeros((2 * n, st.nx), order="F")
+    jac_fixed[st.gen_pos, st.pg_idx] = 1.0
+    jac_fixed[n + st.gen_pos, st.qg_idx] = 1.0
     jac_fixed[: st.ns, st.sl_s] = np.diag(pr.p_load[: st.ns])
     jac_fixed[n : n + st.ns, st.sl_s] = np.diag(pr.q_load[: st.ns] * pr.shed_live)
 
@@ -436,34 +490,26 @@ def _flat_start(problem: OpfProblem):
 
 def _solution_point(problem: OpfProblem, sol: OpfSolution):
     """(x, lam, z_lower, z_upper) of sol in problem's NLP variable layout, in
-    true (unscaled) units; lam is the NLP's, lambda_p less _loss_price."""
-    st = problem.structure
-    if tuple(sol.bus_ids) != st.island_bus_ids:
+    true (unscaled) units. The layouts of one island and generator set
+    differ only in the shed block, present under OLD alone, so the shared
+    prefix is copied and a shed block sol lacks is zero."""
+    st, src = problem.structure, sol.problem.structure
+    if src.island_bus_ids != st.island_bus_ids:
         raise ValidationError("solution is for a different island")
-    if len(sol.p_g) != st.ng:
+    if src.ng != st.ng:
         raise ValidationError("solution has a different generator set")
-    x, zl, zu = np.zeros(st.nx), np.zeros(st.nx), np.zeros(st.nx)
-    x[st.sl_th] = sol.theta[st.nonslack]
-    x[st.sl_v] = sol.v
-    x[st.sl_pg] = sol.p_g / st.network.s_base
-    x[st.sl_qg] = sol.q_g / st.network.s_base
-    x[st.sl_s] = sol.shed[: st.ns]
-    for sl, lo, hi in (
-        (st.sl_v, sol.mu_v_min, sol.mu_v_max),
-        (st.sl_pg, sol.mu_pg_min, sol.mu_pg_max),
-        (st.sl_qg, sol.mu_qg_min, sol.mu_qg_max),
-        (st.sl_s, sol.mu_shed_min[: st.ns], sol.mu_shed_max[: st.ns]),
-    ):
-        zl[sl], zu[sl] = lo, hi
-    return x, np.concatenate([sol.lambda_p - _loss_price(problem), sol.lambda_q]), zl, zu
+    k = min(st.nx, src.nx)
+    x, zl, zu = np.zeros((3, st.nx))
+    x[:k], zl[:k], zu[:k] = sol.x[:k], sol.z_lower[:k], sol.z_upper[:k]
+    return x, sol.lam, zl, zu
 
 
 def solve(problem: OpfProblem, warm_start: OpfSolution = None) -> OpfSolution:
     """Solve the AC-OPF with one interior-point run.
 
-    The run starts flat, or from warm_start's whole primal-dual point: its
-    voltages, dispatch and shed fractions, its balance multipliers and its
-    voltage, generator and shed bound multipliers. A warm run starts near
+    The run starts flat, or from warm_start's stored primal-dual point
+    exactly, mapped to this problem's layout by _solution_point: x, the
+    balance multipliers and the bound multipliers. A warm run starts near
     that point and floors the carried bound multipliers at 1e-6 / slack, so
     its first barrier parameter follows their complementarity products.
     Whatever status it ends with is returned; there is no second attempt, so
@@ -490,50 +536,20 @@ def solve(problem: OpfProblem, warm_start: OpfSolution = None) -> OpfSolution:
     status = {"optimal": OpfStatus.OPTIMAL, "max_iter": OpfStatus.MAX_ITERATIONS,
               "infeasible": OpfStatus.INFEASIBLE}[res.status]
 
-    s, n, price = st.network.s_base, st.n, _loss_price(pr)
-    theta, v, pg, qg, sh = st._split(res.x)
-    lam_true = res.lam / f_scale
-    if status is not OpfStatus.INFEASIBLE:  # an infeasible end reports no multipliers
-        lam_true[:n] += price  # back to the loss form
-    zl = res.z_lower / f_scale
-    zu = res.z_upper / f_scale
-
-    p_g_mw = pg * s
-    q_g_mvar = qg * s
-    shed = pr.shed_fractions_full(sh)
     # at the final point, which the solve's model still holds
-    dp, dq = pr._balance(model, v, theta, p_g_mw / s, q_g_mvar / s, sh)
-    mismatch = np.maximum(np.abs(dp), np.abs(dq))
-
+    theta, v, pg, qg, sh = st._split(res.x)
+    dp, dq = pr._balance(model, v, theta, pg, qg, sh)
     return OpfSolution(
         status=status,
-        bus_ids=st.island_bus_ids,
-        gen_buses=tuple(g.bus for g in st.gens),
-        v=v.copy(),
-        theta=theta.copy(),
-        p_g=p_g_mw,
-        q_g=q_g_mvar,
-        shed=shed,
-        lambda_p=lam_true[:n].copy(),
-        lambda_q=lam_true[n:].copy(),
-        mu_v_max=zu[st.sl_v].copy(),
-        mu_v_min=zl[st.sl_v].copy(),
-        mu_pg_max=zu[st.sl_pg].copy(),
-        mu_pg_min=zl[st.sl_pg].copy(),
-        mu_qg_max=zu[st.sl_qg].copy(),
-        mu_qg_min=zl[st.sl_qg].copy(),
-        mu_shed_max=pr.shed_fractions_full(zu[st.sl_s]),
-        mu_shed_min=pr.shed_fractions_full(zl[st.sl_s]),
-        mismatch=mismatch,
-        objective_value=objective_cost(p_g_mw, pr, shed),
-        solver_objective=value_fn(res.x) + price * float(pr.p_fix.sum() - pr.p_load.sum()),
+        problem=pr,
+        x=res.x,
+        lam=res.lam / f_scale,
+        z_lower=res.z_lower / f_scale,
+        z_upper=res.z_upper / f_scale,
+        mismatch=np.maximum(np.abs(dp), np.abs(dq)),
+        solver_objective=value_fn(res.x) + _loss_price(pr) * float(pr.p_fix.sum() - pr.p_load.sum()),
         iterations=res.iterations,
         mu_final=res.mu,
-        s_base=s,
-        p_load_mw=pr.p_load * s,
-        q_load_mvar=pr.q_load * s,
-        p_inj_mw=pr.p_fix * s,
-        generation_cost=float(sum(g.cost(p) for g, p in zip(st.gens, p_g_mw))),
     )
 
 

@@ -171,11 +171,14 @@ def _parse_cap_costs(text: str, default_buses=()) -> dict:
             continue
         try:
             bus, _, usd = item.partition("=")
-            out[int(bus.strip())] = float(usd.strip())
+            bus, usd = int(bus.strip()), float(usd.strip())
         except ValueError:
             raise ValidationError(
                 f"--cap-cost expects 'bus=usd,bus=usd,...', got {item!r}"
             )
+        if bus in out:
+            raise ValidationError(f"--cap-cost gives bus {bus} more than once")
+        out[bus] = usd
     return out
 
 
@@ -197,6 +200,8 @@ def cmd_plan(args) -> int:
         raise ValidationError(f"candidate buses not present in the study: {missing}")
     decision = solve_plan(PlanningInput(cap_cost=cap_cost, c_voll=c_voll, voll_rate=args.voll))
     scores = read_mean_scores(args.case3, case_number=3)
+    cross_csv = os.path.join(args.case3, "cross_case.csv")
+    cross = read_cross_case(args.case3) if os.path.exists(cross_csv) else {}
     write_plan_csv(args.out, decision, scores)
     installed = decision.installed_buses
     print(
@@ -204,12 +209,8 @@ def cmd_plan(args) -> int:
         f"objective ${decision.objective:.2f} over candidates, "
         f"${decision.uncovered_voll:.2f} VoLL uncovered elsewhere"
     )
-    try:
-        cross = read_cross_case(args.case3)
-        if 3 in cross and 4 in cross:
-            print("case 4 vs case 3:", economic_comparison(cross[3][0], cross[4][0]).narrative)
-    except ReportError:
-        pass
+    if 3 in cross and 4 in cross:
+        print("case 4 vs case 3:", economic_comparison(cross[3][0], cross[4][0]).narrative)
     print(f"plan written to {args.out}")
     return 0
 

@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 
 import numpy as np
 
 from .model import GridcapError, ValidationError
 from .planning import CaseSummary, economic_comparison
-from .sensitivity import composite_score, extract
+from .sensitivity import composite_score
 from .study import CASE_NUMBERS, StudyResult
 
 
@@ -106,7 +107,7 @@ def write_case_files(outdir, case_number: int, case, weights, prefix: str = "cas
         ]).tolist()
         for b, row in zip(sol.bus_ids, values):
             bus_rows.append([t, b, status, *_fmt_floats(row)])
-        raw = extract(sol)  # signed, in bus order
+        raw = outcome.sensitivities  # signed, in bus order
         by_bus = {r.bus_id: r for r in raw}
         for rec in composite_score(raw, weights):
             signed = by_bus[rec.bus_id]
@@ -197,26 +198,51 @@ def write_plan_csv(path, decision, s_scores: dict):
 
 
 def read_rows(path) -> list:
+    return [row for _, row in _read_table(path, ())]
+
+
+def _read_table(path, columns) -> list:
+    """(line number, row dict) of each data row of a study CSV whose header
+    names every one of columns; a row with another cell count than the
+    header is an error naming its line."""
     if not os.path.exists(path):
         raise ReportError(f"missing file: {path}")
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        return list(reader)
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [c for c in columns if c not in header]
+        if missing:
+            raise ReportError(f"{path}, line 1: missing column {', '.join(missing)}")
+        rows = []
+        for cells in filter(None, reader):  # a blank line is no row
+            if len(cells) != len(header):
+                raise ReportError(
+                    f"{path}, line {reader.line_num}: {len(cells)} cells, header has {len(header)}"
+                )
+            rows.append((reader.line_num, dict(zip(header, cells))))
+        return rows
+
+
+def _number(path, line, row, column, kind=float):
+    """row[column] as a finite kind, or an error naming the file and line."""
+    try:
+        value = kind(row[column])
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ReportError(f"{path}, line {line}: {column} is not a finite number: {row[column]!r}")
+    return value
 
 
 def read_cross_case(outdir) -> dict:
-    """case number -> CaseSummary plus the raw row dict."""
-    rows = read_rows(os.path.join(outdir, "cross_case.csv"))
+    """case number -> CaseSummary plus the raw row dict, every figure
+    checked to be a finite number."""
+    path = os.path.join(outdir, "cross_case.csv")
     out = {}
-    for row in rows:
-        num = int(row["case"])
-        out[num] = (
-            CaseSummary(
-                total_cost=float(row["total_cost"]),
-                load_served=float(row["load_served"]),
-            ),
-            row,
-        )
+    for line, row in _read_table(path, CROSS_CASE_HEADER):
+        figures = {c: _number(path, line, row, c) for c in CROSS_CASE_HEADER[1:-1]}
+        summary = CaseSummary(total_cost=figures["total_cost"], load_served=figures["load_served"])
+        out[_number(path, line, row, "case", int)] = (summary, row)
     return out
 
 
@@ -224,29 +250,30 @@ def read_meta(outdir) -> dict:
     path = os.path.join(outdir, "meta.csv")
     if not os.path.exists(path):
         return {}
-    return {row["key"]: row["value"] for row in read_rows(path)}
+    return {row["key"]: row["value"] for _, row in _read_table(path, ("key", "value"))}
 
 
 def read_shed_by_bus(outdir, case_number: int = 3) -> dict:
     """Per-bus MW shed summed over optimal hours, from the bus CSV."""
-    rows = read_rows(os.path.join(outdir, f"case{case_number}_bus.csv"))
+    path = os.path.join(outdir, f"case{case_number}_bus.csv")
     out = {}
-    for row in rows:
+    for line, row in _read_table(path, ("status", "bus_id", "shed_mw")):
         if row["status"] != "optimal":
             continue
-        b = int(row["bus_id"])
-        out[b] = out.get(b, 0.0) + float(row["shed_mw"])
+        b = _number(path, line, row, "bus_id", int)
+        out[b] = out.get(b, 0.0) + _number(path, line, row, "shed_mw")
     return out
 
 
 def read_mean_scores(outdir, case_number: int = 3) -> dict:
     """Per-bus mean s_score over optimal hours from the sensitivity CSV."""
-    rows = read_rows(os.path.join(outdir, f"case{case_number}_sensitivity.csv"))
+    path = os.path.join(outdir, f"case{case_number}_sensitivity.csv")
     acc = {}
-    for row in rows:
+    for line, row in _read_table(path, ("status", "bus_id", "s_score")):
         if row["status"] != "optimal":
             continue
-        acc.setdefault(int(row["bus_id"]), []).append(float(row["s_score"]))
+        b = _number(path, line, row, "bus_id", int)
+        acc.setdefault(b, []).append(_number(path, line, row, "s_score"))
     return {b: float(np.mean(v)) for b, v in acc.items()}
 
 

@@ -21,12 +21,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .acopf import OpfProblem, OpfSolution, OpfStatus, _solution_point, solve
-from .model import GridcapError, ValidationError
-
-
-class SensitivityError(GridcapError):
-    pass
+from .acopf import OpfProblem, OpfSolution, OpfStatus, solve
+from .model import ValidationError
 
 
 @dataclass(frozen=True)
@@ -69,8 +65,6 @@ def extract(solution: OpfSolution) -> list:
     Non-optimal solutions yield records tagged unreliable; their
     multipliers are not KKT quantities and must not be aggregated.
     """
-    if solution.lambda_q is None or len(solution.lambda_q) != len(solution.bus_ids):
-        raise SensitivityError("solution carries no per-bus multipliers")
     reliable = solution.status is OpfStatus.OPTIMAL
     os_q = -solution.lambda_q_per_mvar
     os_v = -solution.mu_v_max
@@ -151,11 +145,12 @@ class FdResult:
     reason: str = ""
 
 
-def _binding_signature(problem: OpfProblem, solution: OpfSolution, tol: float = 1e-4):
-    """x - lower < tol, then upper - x < tol, over the hour's finite NLP bounds."""
-    x = _solution_point(problem, solution)[0]
-    lo, hi = np.isfinite(problem.lower), np.isfinite(problem.upper)
-    return np.concatenate([(x - problem.lower)[lo] < tol, (problem.upper - x)[hi] < tol])
+def _binding_signature(solution: OpfSolution, tol: float = 1e-4):
+    """x - lower < tol, then upper - x < tol, over the finite NLP bounds of
+    the solution's hour."""
+    x, lower, upper = solution.x, solution.problem.lower, solution.problem.upper
+    lo, hi = np.isfinite(lower), np.isfinite(upper)
+    return np.concatenate([(x - lower)[lo] < tol, (upper - x)[hi] < tol])
 
 
 def _perturbed(problem: OpfProblem, bus_id: int, quantity: FdQuantity, delta_pu: float) -> OpfProblem:
@@ -184,13 +179,11 @@ def fd_oracle(problem: OpfProblem, bus_id: int, quantity: FdQuantity, eps: float
         raise ValidationError("fd eps must be positive")
     if bus_id not in problem.structure.island_bus_ids:
         raise ValidationError(f"bus {bus_id} is not on the energized island")
-    p_up = _perturbed(problem, bus_id, quantity, +eps)
-    p_dn = _perturbed(problem, bus_id, quantity, -eps)
-    up = solve(p_up)
-    dn = solve(p_dn)
+    up = solve(_perturbed(problem, bus_id, quantity, +eps))
+    dn = solve(_perturbed(problem, bus_id, quantity, -eps))
     if up.status is not OpfStatus.OPTIMAL or dn.status is not OpfStatus.OPTIMAL:
         reason = f"perturbed solve status {up.status.value}/{dn.status.value}"
-    elif not np.array_equal(_binding_signature(p_up, up), _binding_signature(p_dn, dn)):
+    elif not np.array_equal(_binding_signature(up), _binding_signature(dn)):
         reason = "active set changed across the perturbation"
     else:
         value = (up.solver_objective - dn.solver_objective) / (2.0 * eps)

@@ -114,6 +114,11 @@ class HourOutcome:
     def optimal(self) -> bool:
         return self.valid and self.solution.status is OpfStatus.OPTIMAL
 
+    @functools.cached_property
+    def sensitivities(self) -> list:
+        """extract of a valid hour's solution, computed once per outcome."""
+        return extract(self.solution)
+
 
 def _sum(values) -> float:
     """Left-to-right float sum in hour order (sum() compensates on Python
@@ -147,7 +152,7 @@ class CaseResult:
         """The valid hours' sensitivities aggregated under the scenario's
         weights and rank mode; non-optimal hours are counted as excluded."""
         return aggregate_hours(
-            [extract(o.solution) for o in self.hours if o.valid],
+            [o.sensitivities for o in self.hours if o.valid],
             weights=self.scenario.weights,
             mode=self.scenario.rank_mode,
         )

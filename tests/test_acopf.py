@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import hour_problem
+from gridcap import acopf
 from gridcap.acopf import (
     Objective,
     OpfProblem,
@@ -288,6 +289,93 @@ class TestSolve:
         np.testing.assert_allclose(sol.lambda_q_per_mvar, sol.lambda_q / 10.0)
 
 
+class TestSolutionIsItsPoint:
+    """A solution stores its hour's primal-dual point once; every named
+    figure is read from it."""
+
+    def test_fields_are_the_point(self, base_problem):
+        sol = solve(base_problem)
+        assert [f.name for f in dataclasses.fields(sol)] == [
+            "status", "problem", "x", "lam", "z_lower", "z_upper", "mismatch",
+            "solver_objective", "iterations", "mu_final"]
+        assert sol.problem is base_problem
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sol.x = sol.x.copy()
+        for array in (sol.x, sol.lam, sol.z_lower, sol.z_upper, sol.mismatch, sol.v, sol.mu_v_max):
+            assert not array.flags.writeable
+
+    @pytest.mark.parametrize("objective", list(Objective))
+    def test_named_figures_are_slices_of_the_point(self, microgrid9, objective):
+        net, demand = microgrid9
+        problem = hour_problem(net, demand, 7, objective)
+        sol, st, s = solve(problem), problem.structure, net.s_base
+        assert sol.status is OpfStatus.OPTIMAL
+        np.testing.assert_array_equal(sol.p_g, sol.x[st.sl_pg] * s)
+        np.testing.assert_array_equal(sol.q_g, sol.x[st.sl_qg] * s)
+        assert sol.theta[st.slack_pos] == 0.0
+        np.testing.assert_array_equal(sol.theta[st.nonslack], sol.x[st.sl_th])
+        for name, z, sl in [("v", sol.x, st.sl_v), ("mu_v_max", sol.z_upper, st.sl_v),
+                            ("mu_v_min", sol.z_lower, st.sl_v), ("mu_pg_max", sol.z_upper, st.sl_pg),
+                            ("mu_pg_min", sol.z_lower, st.sl_pg), ("mu_qg_max", sol.z_upper, st.sl_qg),
+                            ("mu_qg_min", sol.z_lower, st.sl_qg)]:
+            assert np.shares_memory(getattr(sol, name), z), name
+            np.testing.assert_array_equal(getattr(sol, name), z[sl])
+        assert np.shares_memory(sol.lambda_q, sol.lam)
+        np.testing.assert_array_equal(sol.lambda_q, sol.lam[st.n:])
+        np.testing.assert_array_equal(sol.lambda_p, sol.lam[: st.n] + acopf._loss_price(problem))
+        if objective is Objective.OPTIMAL_LOAD_DELIVERY:
+            for name, z in [("shed", sol.x), ("mu_shed_max", sol.z_upper), ("mu_shed_min", sol.z_lower)]:
+                assert np.shares_memory(getattr(sol, name), z), name
+                np.testing.assert_array_equal(getattr(sol, name), z[st.sl_s])
+        else:
+            for name in ("shed", "mu_shed_max", "mu_shed_min"):
+                np.testing.assert_array_equal(getattr(sol, name), np.zeros(st.n))
+        np.testing.assert_array_equal(sol.p_load_mw, problem.p_load * s)
+        np.testing.assert_array_equal(sol.p_inj_mw, problem.p_fix * s)
+        assert sol.bus_ids == st.island_bus_ids and sol.s_base == s
+        assert sol.objective_value == objective_cost(sol.p_g, problem, sol.shed)
+        gen_cost = sum(g.cost(p) for g, p in zip(net.generators, sol.p_g))
+        assert sol.generation_cost == pytest.approx(gen_cost, rel=1e-15)
+
+    @staticmethod
+    def captured_starts(monkeypatch):
+        """Patch acopf.solve_nlp to record each solve's (x0, warm)."""
+        starts, real = [], acopf.solve_nlp
+
+        def recording(nlp, opts, warm):
+            starts.append((nlp.x0.copy(), warm))
+            return real(nlp, opts, warm)
+
+        monkeypatch.setattr(acopf, "solve_nlp", recording)
+        return starts
+
+    def test_warm_start_passes_the_point_exactly(self, microgrid9, monkeypatch):
+        net, demand = microgrid9
+        source = solve(hour_problem(net, demand, 7))
+        target = hour_problem(net, demand, 8, structure=source.problem.structure)
+        starts = self.captured_starts(monkeypatch)
+        solve(target, warm_start=source)
+        (x0, (lam, z_lower, z_upper)), = starts
+        f_scale = target.structure.f_scale
+        assert x0.tobytes() == source.x.tobytes()
+        assert lam.tobytes() == (source.lam * f_scale).tobytes()
+        assert z_lower.tobytes() == (source.z_lower * f_scale).tobytes()
+        assert z_upper.tobytes() == (source.z_upper * f_scale).tobytes()
+
+    def test_warm_start_across_objectives_maps_the_layout_prefix(self, microgrid9, monkeypatch):
+        net, demand = microgrid9
+        econ, old = (solve(hour_problem(net, demand, 7, objective)) for objective in Objective)
+        starts = self.captured_starts(monkeypatch)
+        solve(old.problem, warm_start=econ)
+        solve(econ.problem, warm_start=old)
+        (to_old, warm_old), (to_econ, warm_econ) = starts
+        k = econ.problem.structure.nx
+        sl_s = old.problem.structure.sl_s
+        assert to_old[:k].tobytes() == econ.x.tobytes() and not to_old[sl_s].any()
+        assert not warm_old[1][sl_s].any() and not warm_old[2][sl_s].any()
+        assert to_econ.tobytes() == old.x[:k].tobytes()
+
+
 class TestOptimalLoadDelivery:
     def test_no_shedding_when_service_feasible(self, two_bus):
         net, _ = two_bus
@@ -361,7 +449,11 @@ class TestKktReport:
 
     def test_corrupted_multiplier_flagged(self, base_problem):
         sol = solve(base_problem)
-        sol.mu_v_max[0] = -abs(sol.mu_v_max[0]) - 1.0
+        # the point is read-only: corrupt a copy of z_upper, at mu_v_max[0]
+        z_upper = sol.z_upper.copy()
+        z_upper[base_problem.structure.sl_v.start] = -abs(sol.mu_v_max[0]) - 1.0
+        sol = dataclasses.replace(sol, z_upper=z_upper)
+        assert sol.mu_v_max[0] == z_upper[base_problem.structure.sl_v.start]
         rep = kkt_report(sol, base_problem)
         assert rep.nonneg_violation
         assert not rep.passed
@@ -420,10 +512,12 @@ class TestProblemValidation:
         with pytest.raises(ValidationError, match="v_min override"):
             OpfProblem(network=net, p_d=np.zeros(2), q_d=np.zeros(2), v_min=np.array([1.06, 0.95]))
 
-    @pytest.mark.parametrize("dt", [0.0, -1.0])
+    @pytest.mark.parametrize("dt", [0.0, -1.0, np.nan, np.inf])
     def test_non_positive_dt_rejected(self, two_bus, dt):
+        # left unchecked, nan ends max_iterations with a NaN objective_value,
+        # inf an infinite objective_value under OLD
         net, _ = two_bus
-        with pytest.raises(ValidationError, match="dt"):
+        with pytest.raises(ValidationError, match="^dt must be finite and positive"):
             OpfProblem(network=net, p_d=np.zeros(2), q_d=np.zeros(2), dt=dt)
 
     def test_network_without_generators_rejected(self, two_bus):

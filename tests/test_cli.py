@@ -310,7 +310,8 @@ class TestPlan:
         assert f"error: {message}\n" == capsys.readouterr().err
         assert not out.exists()
 
-    def edited_copy(self, study_dir, tmp_path, name, edit):
+    @staticmethod
+    def edited_copy(study_dir, tmp_path, name, edit):
         """A copy of the study directory with one file's rows passed through edit."""
         copy = tmp_path / "edited"
         shutil.copytree(study_dir, copy)
@@ -352,6 +353,35 @@ class TestPlan:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("name, edit, message", [
+        ("case3_bus.csv", lambda t: [t[0]] + [r[:-1] if i == 3 else r for i, r in enumerate(t[1:], 2)],
+         "line 3: 11 cells, header has 12"),
+        ("case3_bus.csv", lambda t: [[c.replace("shed_mw", "shed") for c in t[0]]] + t[1:],
+         "line 1: missing column shed_mw"),
+        ("case3_bus.csv", lambda t: [t[0]] + [r[:9] + ["abc"] + r[10:] for r in t[1:]],
+         "line 2: shed_mw is not a finite number: 'abc'"),
+        ("case3_sensitivity.csv", lambda t: [t[0]] + [r[:4] + ["nan"] + r[5:] for r in t[1:]],
+         "line 2: s_score is not a finite number: 'nan'"),
+        ("cross_case.csv", lambda t: [t[0]] + [r[:1] + ["inf"] + r[2:] for r in t[1:]],
+         "line 2: total_cost is not a finite number: 'inf'"),
+    ])
+    def test_corrupt_study_file_exits_1_naming_file_and_line(self, study_dir, tmp_path, capsys,
+                                                             name, edit, message):
+        edited = self.edited_copy(study_dir, tmp_path, name, edit)
+        out = tmp_path / "p.csv"
+        argv = ["plan", "--case3", str(edited), "--cap-cost", "7=600", "--voll", "1000", "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {edited / name}, {message}\n"
+        assert not out.exists()
+
+    def test_repeated_cap_cost_bus_exits_1(self, study_dir, tmp_path, capsys):
+        out = tmp_path / "p.csv"
+        argv = ["plan", "--case3", study_dir, "--cap-cost", "1=5,1=7", "--voll", "1000", "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: --cap-cost gives bus 1 more than once\n"
+        assert not out.exists()
+
+
 class TestReport:
     def test_summary_contains_comparison_sentence(self, study_dir, capsys):
         assert main(["report", "--study", study_dir]) == 0
@@ -365,6 +395,17 @@ class TestReport:
         os.remove(broken / "case3_hourly.csv")
         assert main(["report", "--study", str(broken)]) == 1
         assert "case3_hourly.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda t: [[c.replace("avg_vmin", "vmin") for c in t[0]]] + t[1:], "line 1: missing column avg_vmin"),
+        (lambda t: t[:2] + [t[2][:-1]] + t[3:], "line 3: 7 cells, header has 8"),
+        (lambda t: t[:4] + [["4", "x"] + t[4][2:]], "line 5: total_cost is not a finite number: 'x'"),
+    ])
+    def test_corrupt_cross_case_exits_1_naming_file_and_line(self, study_dir, tmp_path, capsys,
+                                                             edit, message):
+        edited = TestPlan.edited_copy(study_dir, tmp_path, "cross_case.csv", edit)
+        assert main(["report", "--study", str(edited), "--out", str(tmp_path / "s.txt")]) == 1
+        assert capsys.readouterr().err == f"error: {edited / 'cross_case.csv'}, {message}\n"
 
     def test_no_shed_study_reports_no_recovery(self, tmp_path, capsys):
         out = tmp_path / "calm"

@@ -566,8 +566,9 @@ def test_solve_kkt_rejects_non_finite_entries_as_its_first_form(bad):
 
 
 def solution_bytes(sol):
-    """Every field of sol, arrays as their bytes."""
-    return {name: v.tobytes() if isinstance(v, np.ndarray) else v for name, v in vars(sol).items()}
+    """Every field of sol but the problem it solved, arrays as their bytes."""
+    return {name: v.tobytes() if isinstance(v, np.ndarray) else v
+            for name, v in vars(sol).items() if name != "problem"}
 
 
 def recording_verdicts(monkeypatch, solve_kkt):

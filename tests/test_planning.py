@@ -4,7 +4,7 @@ import typing
 import numpy as np
 import pytest
 
-from gridcap.model import ValidationError
+from gridcap.model import Branch, Bus, BusKind, Generator, Network, ValidationError
 from gridcap.planning import (
     CaseSummary,
     PlanningInput,
@@ -14,7 +14,7 @@ from gridcap.planning import (
     voll_cost,
 )
 from gridcap.study import CaseId, CaseResult, HourOutcome, Scenario
-from gridcap.acopf import OpfSolution, OpfStatus
+from gridcap.acopf import Objective, OpfProblem, OpfSolution, OpfStatus
 
 
 def test_voll_cost_annotations_resolve():
@@ -23,37 +23,27 @@ def test_voll_cost_annotations_resolve():
 
 
 def fake_old_result(bus_ids, shed_mw_rows, dt=1.0):
-    """CaseResult stand-in with explicit per-hour shed MW per bus."""
+    """CaseResult of all-optimal OLD hours on a real chain network with
+    10 MW of load at each bus, each hour's point shedding the given MW per
+    bus; every other entry of the point is zero."""
+    net = Network(
+        buses=tuple(Bus(b, BusKind.SLACK if i == 0 else BusKind.PQ, 0.95, 1.05, 12.47)
+                    for i, b in enumerate(bus_ids)),
+        branches=tuple(Branch(a, b, 0.02, 0.1) for a, b in zip(bus_ids, bus_ids[1:])),
+        generators=(Generator(bus_ids[0], 0.0, 10.0, -8.0, 8.0, 0.02, 25.0, 40.0),),
+    )
+    load = np.full(len(bus_ids), 10.0)
     hours = []
     for t, row in enumerate(shed_mw_rows):
-        load = np.array([10.0] * len(bus_ids))
-        shed = np.array(row) / load
+        problem = OpfProblem(network=net, p_d=load, q_d=np.zeros(len(bus_ids)),
+                             objective=Objective.OPTIMAL_LOAD_DELIVERY, dt=dt)
+        st = problem.structure
+        x = np.zeros(st.nx)
+        x[st.sl_s] = np.array(row) / load
         sol = OpfSolution(
-            status=OpfStatus.OPTIMAL,
-            bus_ids=tuple(bus_ids),
-            gen_buses=(bus_ids[0],),
-            v=np.ones(len(bus_ids)),
-            theta=np.zeros(len(bus_ids)),
-            p_g=np.zeros(1),
-            q_g=np.zeros(1),
-            shed=shed,
-            lambda_p=np.zeros(len(bus_ids)),
-            lambda_q=np.zeros(len(bus_ids)),
-            mu_v_max=np.zeros(len(bus_ids)),
-            mu_v_min=np.zeros(len(bus_ids)),
-            mu_pg_max=np.zeros(1),
-            mu_pg_min=np.zeros(1),
-            mu_qg_max=np.zeros(1),
-            mu_qg_min=np.zeros(1),
-            mu_shed_max=np.zeros(len(bus_ids)),
-            mu_shed_min=np.zeros(len(bus_ids)),
-            mismatch=np.zeros(len(bus_ids)),
-            objective_value=0.0,
-            solver_objective=0.0,
-            iterations=1,
-            mu_final=0.0,
-            s_base=10.0,
-            p_load_mw=load,
+            status=OpfStatus.OPTIMAL, problem=problem, x=x, lam=np.zeros(2 * st.n),
+            z_lower=np.zeros(st.nx), z_upper=np.zeros(st.nx), mismatch=np.zeros(st.n),
+            solver_objective=0.0, iterations=1, mu_final=0.0,
         )
         hours.append(HourOutcome(hour=t, solution=sol))
     return CaseResult(

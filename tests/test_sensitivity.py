@@ -131,10 +131,9 @@ class TestDualVsFiniteDifference:
         the finite lower bounds, then the finite upper bounds."""
         sigs = []
         for delta in (eps, -eps):
-            p = _perturbed(prob, bus_id, quantity, delta)
-            sol = solve(p)
+            sol = solve(_perturbed(prob, bus_id, quantity, delta))
             assert sol.status is OPT
-            sigs.append(_binding_signature(p, sol))
+            sigs.append(_binding_signature(sol))
         rows = [(int(i), side) for side, bounds in enumerate((prob.lower, prob.upper))
                 for i in np.flatnonzero(np.isfinite(bounds))]
         return {rows[k] for k in np.flatnonzero(sigs[0] != sigs[1])}

@@ -580,6 +580,18 @@ class TestCaseFigures:
         assert case.non_optimal_hours + case.invalid_hours > 0
         assert {name: getattr(case, name) for name in FIGURES} == recomputed_figures(case)
 
+    def test_each_valid_hour_is_extracted_once(self, microgrid9, tmp_path, monkeypatch):
+        # the ranking and the sensitivity CSVs both read the hour's one
+        # cached extract
+        calls, real = [], study.extract
+        monkeypatch.setattr(study, "extract", lambda sol: calls.append(sol) or real(sol))
+        net, demand = microgrid9
+        result = run_four_case_study(net, demand)
+        write_study(tmp_path, result, ScoreWeights(), 3)
+        valid = [o.solution for case in result.cases.values() for o in case.hours if o.valid]
+        assert len(calls) == len(valid) == 188
+        assert {id(sol) for sol in calls} == {id(sol) for sol in valid}
+
     def test_figures_follow_a_replaced_hour(self, study9):
         case = study9.case(3)
         sol = case.hours[12].solution
